@@ -6,6 +6,9 @@ are never mutated. A compiled twin of this module may be selected at
 import time (see _backend).
 """
 
+# radix accumulation; _backend and the compiled module both take it from here
+from zeroless.radix import value as horner_value  # noqa: F401
+
 
 def add_digits(a, b, k):
     """Zeroless addition sweep; absent positions contribute nothing."""
@@ -131,11 +134,3 @@ def zero_to_lex_digits(a, k):
     # v == 0 means the leading position emptied out and is dropped
     out.reverse()
     return out
-
-
-def horner_value(a, k):
-    """Radix accumulation: value of a digit list under acc = acc*k + digit."""
-    acc = 0
-    for d in a:
-        acc = acc * k + d
-    return acc

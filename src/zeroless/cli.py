@@ -2,7 +2,8 @@
 
 Every subcommand is a thin shell over the library; results go to stdout
 with one final newline. Exit codes: 0 on success, 2 on usage errors,
-1 on domain errors (message on stderr).
+1 on domain errors and unreadable input (message on stderr) and when the
+reader of stdout goes away early (no message).
 """
 
 from __future__ import annotations
@@ -260,8 +261,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except ValueError as exc:
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`zeroless enumerate ... | head`): point
+        # stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, OSError) as exc:  # ValueError covers UnicodeDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

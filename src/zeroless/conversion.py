@@ -9,7 +9,7 @@ represented value exactly and are mutually inverse on canonical forms.
 
 from __future__ import annotations
 
-from zeroless import _backend
+from zeroless import _backend, radix
 from zeroless.core import LexNumeral, ZeroNumeral
 
 
@@ -26,11 +26,7 @@ def delta(k: int, n: int) -> ZeroNumeral:
         raise ValueError(f"with-zero base must be >= 2, got {k}")
     if n == 0:
         return ZeroNumeral.zero(k)
-    digits = []
-    while n:
-        n, d = divmod(n, k)
-        digits.append(d)
-    return ZeroNumeral(k, tuple(reversed(digits)))
+    return ZeroNumeral(k, tuple(radix.split(n, k, radix.ilog(k, n) + 1)))
 
 
 def theta_lex_to_zero(a: LexNumeral) -> ZeroNumeral:

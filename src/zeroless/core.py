@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from zeroless import _backend
+from zeroless import _backend, radix
 
 _DECIMAL_X = "123456789X"  # zeroless decimal ciphers, X = ten
 _DECIMAL = "0123456789"
 _ACGT = "ACGT"
+# sigma peels digits one by one below this rank size; measured on CPython
+# 3.11 the divide-and-conquer split only pays from 400-600 bits on
+_PEEL_BITS = 256
 
 #: Names accepted wherever an alphabet can be passed by name.
 NAMED_ALPHABETS = ("acgt", "decimal-x", "bracket")
@@ -190,12 +193,9 @@ def maxlex(k: int, h: int) -> int:
         raise ValueError(f"base must be >= 1, got {k}")
     if h < 0:
         raise ValueError(f"length must be >= 0, got {h}")
-    total = 0
-    p = 1
-    for _ in range(h):
-        p *= k
-        total += p
-    return total
+    if k == 1:
+        return h
+    return k * (k**h - 1) // (k - 1)
 
 
 def minlex(k: int, h: int) -> int:
@@ -204,12 +204,9 @@ def minlex(k: int, h: int) -> int:
         raise ValueError(f"base must be >= 1, got {k}")
     if h < 0:
         raise ValueError(f"length must be >= 0, got {h}")
-    total = 0
-    p = 1
-    for _ in range(h):
-        total += p
-        p *= k
-    return total
+    if k == 1:
+        return h
+    return (k**h - 1) // (k - 1)
 
 
 def rank_within_length(a: LexNumeral) -> int:
@@ -222,41 +219,30 @@ def rank_within_length(a: LexNumeral) -> int:
 def lex_length(k: int, n: int) -> int:
     """Representation length of n >= 1: the h with minlex <= n <= maxlex.
 
-    Found by exact integer accumulation of maxlex; boundary values such as
-    n == maxlex(k, h) stay exact where a float logarithm would not.
+    A logarithm estimate is settled by exact integer comparisons, so
+    boundary values such as n == maxlex(k, h) stay exact.
     """
-    h, _, _ = _lex_bounds(k, n)
-    return h
-
-
-def _lex_bounds(k, n):
-    """(h, k**(h-1), minlex(k, h-1)) for n >= 1."""
     if k < 1:
         raise ValueError(f"base must be >= 1, got {k}")
     if n < 1:
         raise ValueError("zero is the empty string; it has no length")
-    h = 0
-    mx = 0
-    p = 1
-    while mx < n:
-        p *= k
-        mx += p
-        h += 1
-    p //= k
-    ml = h - 1 if k == 1 else (p - 1) // (k - 1)
-    return h, p, ml
+    if k == 1:
+        return n
+    return radix.lex_length(k, n)
 
 
 def sigma(k: int, n: int) -> LexNumeral:
     """Zeroless numeral of rank n: the inverse of ``omega``.
 
-    Leading digits are chosen greedily: the digit at the current position
-    is the largest m <= k leaving a remainder still representable in the
-    remaining length (remainder >= minlex of that length). The scan starts
-    at the quotient n // k**(h-1), above which the remainder would go
-    negative, and never needs more than one step down because k**(h-1)
-    >= minlex(k, h-1).
+    The numerals of length h are the ranks minlex(k, h) onward in
+    lexicographic order, so the offset n - minlex(k, h) written as h
+    with-zero digits, each raised by one, is the numeral; the radix
+    module splits it divide-and-conquer. Ranks of at most _PEEL_BITS
+    bits peel one digit per step instead, which costs less than working
+    out h and minlex.
     """
+    if k < 1:
+        raise ValueError(f"base must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {n}")
     if k == 1:
@@ -265,22 +251,16 @@ def sigma(k: int, n: int) -> LexNumeral:
         return LexNumeral(k, ())
     if n <= k:
         return LexNumeral(k, (n,))
-    h, p, ml = _lex_bounds(k, n)
-    digits = []
-    while h > 1:
-        q, r = divmod(n, p)
-        if q > k:
-            q = k
-            r = n - k * p
-        while r < ml:
-            q -= 1
-            r += p
-        digits.append(q)
-        n = r
-        p //= k
-        ml -= p
-        h -= 1
-    digits.append(n)  # 1 <= n <= k at length 1
+    if n.bit_length() <= _PEEL_BITS:
+        # n - 1 = q*k + r: the last digit is r + 1 and q ranks the rest
+        digits = []
+        while n:
+            n, r = divmod(n - 1, k)
+            digits.append(r + 1)
+        digits.reverse()
+        return LexNumeral(k, tuple(digits))
+    h = radix.lex_length(k, n)
+    digits = [d + 1 for d in radix.split(n - minlex(k, h), k, h)]
     return LexNumeral(k, tuple(digits))
 
 

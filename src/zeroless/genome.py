@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from zeroless.core import LexNumeral, omega, shortlex_compare, sigma
+from zeroless.core import LexNumeral, shortlex_compare
 
 BASES = "ACGT"
 _VALUE = {c: i + 1 for i, c in enumerate(BASES)}
+_TO_DIGIT = str.maketrans(BASES, "0123")
+# the four base-4 digits of a byte, most significant first, as bases
+_QUAD = tuple(a + b + c + d for a in BASES for b in BASES for c in BASES for d in BASES)
 _POLICIES = ("reject", "skip")
 
 
@@ -95,13 +98,33 @@ def _digits(sequence: str) -> tuple:
 
 
 def rank_sequence(sequence: str) -> int:
-    """Shortlex rank of a DNA sequence; the empty sequence ranks 0."""
-    return omega(LexNumeral(4, _digits(sequence)))
+    """Shortlex rank of a DNA sequence; the empty sequence ranks 0.
+
+    Read with A, C, G, T as 0..3, the text is the base-4 offset of its
+    rank from minlex(4, n) = (4**n - 1) // 3, the rank of A*n; ``int``
+    reads power-of-two bases in linear time.
+    """
+    text = sequence.upper()
+    rest = text.lstrip(BASES)
+    if rest:
+        # int() would also take "_", spaces, signs and non-ASCII digits
+        raise ValueError(f"unexpected character {rest[0]!r} in sequence")
+    if not text:
+        return 0
+    n = len(text)
+    return int(text.translate(_TO_DIGIT), 4) + ((1 << 2 * n) - 1) // 3
 
 
 def unrank_sequence(n: int) -> str:
     """DNA sequence of a given shortlex rank; rank 0 is the empty sequence."""
-    return "".join(BASES[d - 1] for d in sigma(4, n).digits)
+    if n < 0:
+        raise ValueError(f"rank must be >= 0, got {n}")
+    if n == 0:
+        return ""
+    h = ((3 * n + 1).bit_length() - 1) // 2  # 4**h <= 3n + 1 < 4**(h+1)
+    off = n - ((1 << 2 * h) - 1) // 3
+    text = "".join(map(_QUAD.__getitem__, off.to_bytes((h + 3) // 4, "big")))
+    return text[len(text) - h :]
 
 
 def sequence_order(a: str, b: str) -> int:

@@ -1,0 +1,104 @@
+"""Divide-and-conquer radix conversion between digit lists and ints.
+
+Long numerals are ranked and unranked here; the DNA codec in ``genome``
+has its own linear path, and ``sigma`` peels the digits of small ranks
+itself. Following Brent & Zimmermann, *Modern Computer Arithmetic*,
+§1.7, blocks of ``CUTOFF`` digits go through the plain digit loop, and
+blocks are joined (``value``) or cut (``split``) with the powers
+k**(CUTOFF * 2**i), each the square of the one before. The powers are
+built per call and dropped with it. ``value`` needs only
+multiplications, so it runs in O(M(n) log n) with CPython's Karatsuba
+M(n); ``split`` divides, and before Python 3.12 CPython's long
+division of big ints is schoolbook, so there it stays quadratic in
+machine words, with a far smaller constant than one bignum divmod per
+digit.
+"""
+
+from __future__ import annotations
+
+import math
+
+#: Digit count at or below which the plain loops run; above it, the
+#: loops work on blocks of this many digits.
+CUTOFF = 64
+
+
+def value(digits, k):
+    """Value of a digit list (most significant first) under acc = acc*k + d.
+
+    Digits may be any non-negative ints: zeroless digits 1..k, with-zero
+    digits 0..k-1.
+    """
+    n = len(digits)
+    if n <= CUTOFF:
+        acc = 0
+        for d in digits:
+            acc = acc * k + d
+        return acc
+    # blocks of CUTOFF digits, least significant first; only the last
+    # (most significant) block may be shorter
+    blocks = []
+    for end in range(n, 0, -CUTOFF):
+        acc = 0
+        for d in digits[max(end - CUTOFF, 0) : end]:
+            acc = acc * k + d
+        blocks.append(acc)
+    power = k**CUTOFF
+    while len(blocks) > 1:
+        joined = [lo + hi * power for lo, hi in zip(blocks[0::2], blocks[1::2])]
+        if len(blocks) % 2:
+            joined.append(blocks[-1])
+        blocks = joined
+        power *= power
+    return blocks[0]
+
+
+def split(x, k, h):
+    """The h with-zero digits of 0 <= x < k**h, most significant first."""
+    if h <= CUTOFF:
+        out = [0] * h
+        for i in range(h - 1, -1, -1):
+            x, out[i] = divmod(x, k)
+        return out
+    nblocks = -(-h // CUTOFF)
+    powers = [k**CUTOFF]  # powers[i] = k**(CUTOFF * 2**i)
+    while 2 ** len(powers) < nblocks:
+        powers.append(powers[-1] * powers[-1])
+    out = []
+
+    def emit(y, m):
+        # the m blocks of y, each CUTOFF digits wide
+        if m == 1:
+            out.extend(split(y, k, CUTOFF))
+            return
+        i = (m - 1).bit_length() - 1  # largest 2**i < m
+        hi, lo = divmod(y, powers[i])
+        emit(hi, m - (1 << i))
+        emit(lo, 1 << i)
+
+    emit(x, nblocks)
+    return out[nblocks * CUTOFF - h :]  # the leading pad is all zeros
+
+
+def ilog(k, m):
+    """The h with k**h <= m < k**(h+1), for k >= 2 and m >= 1."""
+    # log2(m) lies in [b-1, b) for b = m.bit_length(), so the estimate is
+    # within one of h; exact integer comparisons settle it
+    h = int((m.bit_length() - 1) / math.log2(k))
+    p = k**h
+    while p > m:
+        p //= k
+        h -= 1
+    while p * k <= m:
+        p *= k
+        h += 1
+    return h
+
+
+def lex_length(k, n):
+    """Length of the zeroless numeral of rank n >= 1 in base k >= 2.
+
+    It is the h with minlex(k, h) <= n <= maxlex(k, h), which is the h
+    with k**h <= n*(k-1) + 1 < k**(h+1).
+    """
+    return ilog(k, n * (k - 1) + 1)

@@ -10,10 +10,12 @@ rank maps independently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from zeroless._backend import zero_to_lex_digits
+from zeroless.conversion import delta
 from zeroless.core import Alphabet, LexNumeral, default_alphabet, format_lex
 
 _OP_SYMBOL = {"addition": "+", "multiplication": "*"}
@@ -46,16 +48,17 @@ class OpTable:
         return _OP_SYMBOL[self.kind]
 
 
-def _classical_digits(value: int, k: int) -> list:
-    """With-zero digits of value >= 0, most significant first."""
-    if value == 0:
-        return [0]
-    out = []
-    while value:
-        out.append(value % k)
-        value //= k
-    out.reverse()
-    return out
+def _classical_entries(k, op):
+    """Results of op on the digits 1..k-1, from with-zero form rewritten zeroless."""
+    entries = {}
+    cells = {}  # many digit pairs share a result value
+    for a in range(1, k):
+        for b in range(a, k):  # op is commutative
+            v = op(a, b)
+            if v not in cells:
+                cells[v] = tuple(zero_to_lex_digits(delta(k, v).digits, k))
+            entries[(a, b)] = entries[(b, a)] = cells[v]
+    return entries
 
 
 @lru_cache(maxsize=None)
@@ -63,11 +66,7 @@ def build_addition_table(k: int) -> OpTable:
     """Digit sums 1..k by 1..k as zeroless strings; cached per base."""
     if k < 1:
         raise ValueError(f"base must be >= 1, got {k}")
-    entries = {}
-    for a in range(1, k):
-        for b in range(1, k):
-            zero_form = _classical_digits(a + b, k)
-            entries[(a, b)] = tuple(zero_to_lex_digits(zero_form, k))
+    entries = _classical_entries(k, operator.add)
     for j in range(1, k + 1):
         # the digit k has no classical counterpart: j + k rolls over to [1][j]
         entries[(j, k)] = (1, j)
@@ -80,11 +79,7 @@ def build_multiplication_table(k: int) -> OpTable:
     """Digit products 1..k by 1..k as zeroless strings; cached per base."""
     if k < 1:
         raise ValueError(f"base must be >= 1, got {k}")
-    entries = {}
-    for a in range(1, k):
-        for b in range(1, k):
-            zero_form = _classical_digits(a * b, k)
-            entries[(a, b)] = tuple(zero_to_lex_digits(zero_form, k))
+    entries = _classical_entries(k, operator.mul)
     for j in range(1, k + 1):
         # j * k = (j-1) shifted once, then the digit k; for j = 1 just [k]
         product = (j - 1, k) if j > 1 else (k,)

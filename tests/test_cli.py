@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zeroless
 from zeroless.cli import main
 
 
@@ -175,6 +180,18 @@ class TestRankUnrank:
         assert code == 1
         assert err.startswith("error: line 2")
 
+    def test_missing_file_is_one_line_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "rank", "--fasta", str(tmp_path / "missing.fa"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
+
+    def test_undecodable_file_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.fa"
+        path.write_bytes(b">caf\xe9\nACGT\n")
+        code, out, err = run(capsys, "rank", "--fasta", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 'ascii' codec") and err.count("\n") == 1
+
     def test_unrank(self, capsys):
         code, out, _ = run(capsys, "unrank", "228")
         assert (code, out) == (0, "GATT\n")
@@ -220,3 +237,18 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_quietly():
+    """`zeroless enumerate --count 100000 | head -1` prints no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zeroless.cli", "enumerate", "--count", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()  # the reader goes away while the writer is mid-stream
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

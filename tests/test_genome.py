@@ -1,15 +1,19 @@
 import io
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from zeroless import (
     FastaRecord,
+    LexNumeral,
+    omega,
     rank_sequence,
     read_fasta,
     sequence_order,
     unrank_sequence,
 )
+from zeroless.core import sigma_oracle
 
 sequences = st.text(alphabet="ACGT", max_size=40)
 
@@ -29,6 +33,22 @@ class TestRankSequence:
         with pytest.raises(ValueError, match="'N'"):
             rank_sequence("CAN")
 
+    # int(text, 4) alone would accept "_", whitespace, signs and any
+    # Unicode decimal digit ("\u0663" is ARABIC-INDIC DIGIT THREE)
+    @pytest.mark.parametrize("text", ["A_C", " AC", "+A", "A C", "\u0663", "N"])
+    def test_rejects_what_int_accepts(self, text):
+        with pytest.raises(ValueError, match="unexpected character"):
+            rank_sequence(text)
+
+    def test_long_sequence_against_omega(self):
+        rng = random.Random(10)
+        seq = "".join(rng.choice("ACGTacgt") for _ in range(10**4))
+        digits = tuple("ACGT".index(c) + 1 for c in seq.upper())
+        n = rank_sequence(seq)
+        assert n == omega(LexNumeral(4, digits))
+        assert unrank_sequence(n) == seq.upper()
+        assert sigma_oracle(4, n).digits == digits
+
 
 class TestUnrankSequence:
     def test_known_sequences(self):
@@ -41,6 +61,18 @@ class TestUnrankSequence:
     def test_negative_rank(self):
         with pytest.raises(ValueError):
             unrank_sequence(-1)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 9999, 10**4])
+    def test_length_boundaries(self, h):
+        first = (4**h - 1) // 3  # AAA...A
+        for n, seq in ((first, "A" * h), (first - 1, "T" * (h - 1)), (4 * first, "T" * h)):
+            assert unrank_sequence(n) == seq
+            assert rank_sequence(seq) == n
+
+    def test_long_rank_against_oracle(self):
+        n = random.Random(11).randrange(4**10**4)
+        expected = "".join("ACGT"[d - 1] for d in sigma_oracle(4, n).digits)
+        assert unrank_sequence(n) == expected
 
     def test_first_ranks_sorted_shortlex(self):
         seqs = [unrank_sequence(n) for n in range(1, 85)]

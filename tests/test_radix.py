@@ -1,0 +1,116 @@
+"""Divide-and-conquer radix conversion against plain digit loops.
+
+The lengths straddle the block size ``radix.CUTOFF`` and its doubling, and
+go well past it, so that every join and cut of the divide-and-conquer paths
+runs. References are the left-to-right Horner loop and ``sigma_oracle``
+(last digit peeled per step), neither of which goes through ``radix``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zeroless import LexNumeral, delta, maxlex, minlex, omega, radix, sigma
+from zeroless.core import _PEEL_BITS, sigma_oracle
+
+C = radix.CUTOFF
+LENGTHS = (C - 1, C, C + 1, 2 * C, 2 * C + 1, 1000, 5000)
+BASES = (1, 2, 3, 4, 10, 60)
+
+
+def horner(digits, k):
+    acc = 0
+    for d in digits:
+        acc = acc * k + d
+    return acc
+
+
+def plain_digits(x, k):
+    """With-zero digits of x >= 1, most significant first."""
+    out = []
+    while x:
+        x, d = divmod(x, k)
+        out.append(d)
+    return out[::-1]
+
+
+class TestValueSplit:
+    @pytest.mark.parametrize("k", (2, 3, 10, 60, 1000))
+    @pytest.mark.parametrize("h", (0, 1) + LENGTHS)
+    def test_value_matches_horner(self, k, h):
+        digits = [(7 * i + 3) % (k + 1) for i in range(h)]  # 0..k, both kinds of digit
+        assert radix.value(digits, k) == horner(digits, k)
+        assert radix.value(tuple(digits), k) == horner(digits, k)
+
+    @given(st.sampled_from((2, 3, 4, 10, 60)), st.sampled_from(LENGTHS), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_split_inverts_value(self, k, h, rnd):
+        digits = [rnd.randrange(k) for _ in range(h)]
+        x = horner(digits, k)
+        assert radix.split(x, k, h) == digits
+        assert radix.value(digits, k) == x
+
+    @pytest.mark.parametrize("k", (2, 10, 60))
+    @pytest.mark.parametrize("h", (1,) + LENGTHS)
+    def test_split_extremes(self, k, h):
+        assert radix.split(0, k, h) == [0] * h
+        assert radix.split(k**h - 1, k, h) == [k - 1] * h
+        assert radix.split(k ** (h - 1), k, h) == [1] + [0] * (h - 1)
+
+    def test_split_of_zero_length(self):
+        assert radix.split(0, 10, 0) == []
+
+
+class TestIlog:
+    @pytest.mark.parametrize("k", (2, 3, 4, 7, 10, 60, 2**64 + 1))
+    @pytest.mark.parametrize("h", (0, 1, 2, 52, 53, 64, 1000, 5000))
+    def test_boundaries(self, k, h):
+        p = k**h
+        assert radix.ilog(k, p) == h
+        assert radix.ilog(k, p * k - 1) == h
+        if p > 1:
+            assert radix.ilog(k, p - 1) == h - 1
+
+    @pytest.mark.parametrize("k", (2, 3, 4, 10, 60))
+    @pytest.mark.parametrize("h", (1, 2) + LENGTHS)
+    def test_lex_length_at_bounds(self, k, h):
+        lo = 1 + sum(k**i for i in range(1, h))  # minlex as a plain sum
+        hi = lo + k**h - 1
+        assert radix.lex_length(k, lo) == radix.lex_length(k, hi) == h
+        assert radix.lex_length(k, lo - 1) == h - 1
+        assert radix.lex_length(k, hi + 1) == h + 1
+
+
+class TestLongNumerals:
+    """omega and sigma on numerals longer than the plain-loop cutoff."""
+
+    @pytest.mark.parametrize("k", BASES)
+    @pytest.mark.parametrize("h", LENGTHS)
+    def test_boundary_ranks(self, k, h):
+        for n in (minlex(k, h), maxlex(k, h), maxlex(k, h) + 1):
+            a = sigma(k, n)
+            assert a == sigma_oracle(k, n)
+            assert omega(a) == n == horner(a.digits, k)
+        assert sigma(k, minlex(k, h)).digits == (1,) * h
+        assert sigma(k, maxlex(k, h)).digits == (k,) * h
+
+    @pytest.mark.parametrize("k", (2, 3, 10, 60))
+    def test_either_side_of_peeling(self, k):
+        edge = 1 << _PEEL_BITS  # sigma peels digits below this size, splits above
+        for n in (edge - 2, edge - 1, edge, edge + 1, edge * k):
+            assert sigma(k, n) == sigma_oracle(k, n)
+
+    @given(st.sampled_from(BASES), st.sampled_from(LENGTHS), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_random_numerals(self, k, h, rnd):
+        digits = tuple(rnd.randint(1, k) for _ in range(h))
+        n = horner(digits, k)
+        assert omega(LexNumeral(k, digits)) == n
+        assert sigma(k, n).digits == digits
+        assert sigma_oracle(k, n).digits == digits
+
+    @pytest.mark.parametrize("k", (2, 10, 60))
+    @pytest.mark.parametrize("h", LENGTHS)
+    def test_delta(self, k, h):
+        for n in (k ** (h - 1), k**h - 1, minlex(k, h) * 7 + 1):
+            assert list(delta(k, n).digits) == plain_digits(n, k)
