@@ -1,11 +1,15 @@
 """Arithmetic on zeroless numerals, including lattice multiplication.
 
-The plain operations work digit-wise on the zeroless strings themselves;
-no value is ever converted to another notation on the way. Lattice
-multiplication is the exception by design: its per-cell products are
-collected in with-zero columns, summed with ordinary carries, and the
-finished intermediate is rewritten as a zeroless string at the very end.
-Cells whose digit products are inconvenient to know by heart can be
+Addition, single-digit scaling and the shift by the base work digit-wise
+on the zeroless strings themselves. Full multiplication goes through
+ranks instead: the rank map is a value-preserving bijection, so the
+product is sigma(k, omega(a) * omega(b)), one bignum multiplication
+between two radix conversions. The digit-string schoolbook stays in
+``_kernels_py.multiply_digits`` as the reference it is tested against.
+Lattice multiplication works on digits by design: its per-cell products
+are collected in with-zero columns, summed with ordinary carries, and
+the finished intermediate is rewritten as a zeroless string at the very
+end. Cells whose digit products are inconvenient to know by heart can be
 split over a set of generator digits; the partial products then land in
 the same columns.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from zeroless import _backend
-from zeroless.core import LexNumeral, ZeroNumeral
+from zeroless.core import LexNumeral, ZeroNumeral, omega, sigma
 
 
 def _check_same_base(a, b):
@@ -44,9 +48,9 @@ def multiply_by_base(a: LexNumeral) -> LexNumeral:
 
 
 def multiply(a: LexNumeral, b: LexNumeral) -> LexNumeral:
-    """Schoolbook product of two zeroless numerals."""
+    """Product of two zeroless numerals: the numeral of rank omega(a) * omega(b)."""
     _check_same_base(a, b)
-    return LexNumeral(a.base, tuple(_backend.multiply_digits(a.digits, b.digits, a.base)))
+    return sigma(a.base, omega(a) * omega(b))
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,25 +69,49 @@ class LatticeTrace:
     intermediate: ZeroNumeral
 
 
-def _greedy_parts(value: int, generators: tuple) -> list | None:
-    """Largest-first decomposition of value into a sum of generators."""
-    parts = []
-    rest = value
-    for g in generators:
-        while g <= rest:
+class _Splits:
+    """Fewest-parts sums of generators, worked out up to the largest value asked.
+
+    Coin change by dynamic programming over 0..value: ``first[v]`` is the
+    first part of the fewest-parts sum making v, 0 when no sum does.
+    Among sums with the fewest parts the one with the largest parts wins:
+    generators are tried largest first and a later one only replaces an
+    earlier one on a strictly shorter sum, so the parts come out largest
+    first.
+    """
+
+    def __init__(self, generators: tuple):
+        self.generators = generators  # sorted descending
+        self.count = [0]  # fewest parts making v, None when no sum does
+        self.first = [0]
+
+    def parts(self, value: int) -> list | None:
+        count, first = self.count, self.first
+        for v in range(len(count), value + 1):
+            best, pick = None, 0
+            for g in self.generators:
+                if g <= v and count[v - g] is not None and (best is None or count[v - g] + 1 < best):
+                    best, pick = count[v - g] + 1, g
+            count.append(best)
+            first.append(pick)
+        parts = []
+        while value:
+            g = first[value]
+            if not g:
+                return None
             parts.append(g)
-            rest -= g
-    return parts if rest == 0 else None
+            value -= g
+        return parts
 
 
-def _cell_products(xd: int, yd: int, generators: tuple) -> tuple:
+def _cell_products(xd: int, yd: int, generators: tuple, splits: _Splits | None) -> tuple:
     """(left, right, product) triples a single cell contributes."""
     if not generators or xd in generators or yd in generators:
         return ((xd, yd, xd * yd),)
-    parts = _greedy_parts(yd, generators)
+    parts = splits.parts(yd)
     if parts is not None:
         return tuple((xd, g, xd * g) for g in parts)
-    parts = _greedy_parts(xd, generators)
+    parts = splits.parts(xd)
     if parts is not None:
         return tuple((g, yd, g * yd) for g in parts)
     raise ValueError(
@@ -99,7 +127,9 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
     left with ordinary carries and the resulting with-zero numeral is
     rewritten as a zeroless string. ``generators`` restricts which digit
     products the cells may use (None allows them all; an explicit empty
-    set is an error). With ``trace=True`` the return value is a
+    set is an error): a cell with neither digit in the set splits its
+    right digit, or else its left one, into the fewest generators that
+    sum to it, largest first. With ``trace=True`` the return value is a
     (result, LatticeTrace) pair instead of the bare result.
     """
     _check_same_base(x, y)
@@ -121,12 +151,13 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
             return result, LatticeTrace((), (), ZeroNumeral.zero(k))
         return result
     m, n = len(x.digits), len(y.digits)
+    splits = _Splits(gens) if gens else None
     columns = [[] for _ in range(m + n)]
     steps = []
     for i, xd in enumerate(x.digits):
         for j, yd in enumerate(y.digits):
             c = (m - 1 - i) + (n - 1 - j)
-            for a, b, p in _cell_products(xd, yd, gens):
+            for a, b, p in _cell_products(xd, yd, gens, splits):
                 columns[c].append(p % k)
                 columns[c + 1].append(p // k)
                 if trace:

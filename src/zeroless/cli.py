@@ -14,6 +14,8 @@ import sys
 
 from zeroless import arithmetic, conversion, core, genome, tables
 
+_BATCH = 1024  # enumerate writes this many lines at a time
+
 
 def _natural(text: str) -> int:
     try:
@@ -130,8 +132,8 @@ def _cmd_table(args) -> int:
     else:
         table = tables.build_multiplication_table(base)
     if args.machine:
-        for line in tables.table_entries(table, alpha):
-            print(line)
+        for row in tables.table_rows(table, alpha):
+            sys.stdout.write(row)
     else:
         print(tables.render_table(table, alpha))
     return 0
@@ -139,8 +141,16 @@ def _cmd_table(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     base, alpha = _alphabet_for(args)
+    if not args.count:
+        return 0
+    numeral = core.sigma(base, 0)
+    batch = []
     for n in range(1, args.count + 1):
-        print(core.format_lex(core.sigma(base, n), alpha))
+        numeral = core.successor(numeral)
+        batch.append(core.format_lex(numeral, alpha))
+        if len(batch) == _BATCH or n == args.count:
+            sys.stdout.write("\n".join(batch) + "\n")
+            batch.clear()
     return 0
 
 

@@ -70,15 +70,15 @@ def _parse_fasta(handle, policy):
             if drop:
                 continue
             chunk = line.upper()
-            bad = next((c for c in chunk if c not in _VALUE), None)
-            if bad is None:
+            rest = chunk.lstrip(BASES)  # starts at the first invalid base
+            if not rest:
                 parts.append(chunk)
             elif policy == "skip":
                 drop = True
             else:
-                col = chunk.index(bad) + 1
+                col = len(chunk) - len(rest) + 1
                 raise ValueError(
-                    f"line {lineno}, column {col}: invalid base {bad!r} in record {header!r}"
+                    f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
                 )
     if header is not None and not drop:
         yield _record(header, parts, header_line)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from zeroless._backend import zero_to_lex_digits
-from zeroless.conversion import delta
 from zeroless.core import Alphabet, LexNumeral, default_alphabet, format_lex
 
 _OP_SYMBOL = {"addition": "+", "multiplication": "*"}
@@ -56,7 +55,10 @@ def _classical_entries(k, op):
         for b in range(a, k):  # op is commutative
             v = op(a, b)
             if v not in cells:
-                cells[v] = tuple(zero_to_lex_digits(delta(k, v).digits, k))
+                # v < k**2, so its with-zero form has at most two digits
+                high, low = divmod(v, k)
+                classical = (high, low) if high else (low,)
+                cells[v] = tuple(zero_to_lex_digits(classical, k))
             entries[(a, b)] = entries[(b, a)] = cells[v]
     return entries
 
@@ -110,16 +112,31 @@ def render_table(table: OpTable, alphabet: Alphabet | None = None) -> str:
     return "\n".join(lines)
 
 
-def table_entries(table: OpTable, alphabet: Alphabet | None = None) -> list:
-    """Machine-oriented tab-delimited lines "a<TAB>b<TAB>result", row-major."""
+def table_rows(table: OpTable, alphabet: Alphabet | None = None):
+    """Machine-oriented lines "a<TAB>b<TAB>result", yielded one row at a time.
+
+    Each item is the k lines of one row digit, every line ending in a
+    newline. Digit symbols and distinct results are formatted once.
+    """
     if alphabet is None:
         alphabet = default_alphabet(table.base)
     k = table.base
-    lines = []
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            left = format_lex(LexNumeral(k, (a,)), alphabet)
-            right = format_lex(LexNumeral(k, (b,)), alphabet)
-            res = format_lex(LexNumeral(k, table.entries[(a, b)]), alphabet)
-            lines.append(f"{left}\t{right}\t{res}")
-    return lines
+    labels = [format_lex(LexNumeral(k, (d,)), alphabet) for d in range(1, k + 1)]
+    rights = [f"\t{label}\t" for label in labels]
+    shown = {}  # result digits -> text
+    entries = table.entries
+    for a, left in enumerate(labels, start=1):
+        cells = []
+        for b, right in enumerate(rights, start=1):
+            digits = entries[(a, b)]
+            text = shown.get(digits)
+            if text is None:
+                # a numeral renders as its digits' renderings side by side
+                text = shown[digits] = "".join([labels[d - 1] for d in digits])
+            cells.append(f"{left}{right}{text}\n")
+        yield "".join(cells)
+
+
+def table_entries(table: OpTable, alphabet: Alphabet | None = None) -> list:
+    """Machine-oriented tab-delimited lines "a<TAB>b<TAB>result", row-major."""
+    return [line for row in table_rows(table, alphabet) for line in row[:-1].split("\n")]

@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zeroless import _kernels_py, core, radix
 from zeroless import (
     LexNumeral,
     ZeroNumeral,
@@ -170,6 +173,43 @@ class TestMultiply:
                 assert got.digits == table.entry(a, b)
 
 
+def schoolbook(a, b):
+    """Reference product: the digit-string schoolbook sweep."""
+    return tuple(_kernels_py.multiply_digits(a.digits, b.digits, a.base))
+
+
+class TestMultiplyMatchesSchoolbook:
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 60])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_random_operands(self, k, data):
+        digits = st.lists(st.integers(1, k), max_size=12 if k == 1 else 80)
+        a = LexNumeral(k, tuple(data.draw(digits)))
+        b = LexNumeral(k, tuple(data.draw(digits)))
+        assert multiply(a, b).digits == schoolbook(a, b)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 60])
+    @pytest.mark.parametrize("lengths", [(65, 200), (130, 130), (1, 300)])
+    def test_long_operands(self, k, lengths):
+        if k == 1:
+            lengths = tuple(min(n, 70) for n in lengths)  # unary products are m*n digits long
+        rng = random.Random(f"{k}:{lengths}")
+        a, b = (LexNumeral(k, tuple(rng.choices(range(1, k + 1), k=n))) for n in lengths)
+        assert max(lengths) > radix.CUTOFF
+        if k > 1:  # sigma's divide-and-conquer branch, not its digit peel
+            assert (omega(a) * omega(b)).bit_length() > core._PEEL_BITS
+        assert multiply(a, b).digits == schoolbook(a, b)
+
+
+def generator_sums(gens, limit):
+    """Values 1..limit that are sums of generators, by breadth-first search."""
+    reached, frontier = set(), {0}
+    while frontier:
+        frontier = {v + g for v in frontier for g in gens if v + g <= limit} - reached
+        reached |= frontier
+    return reached
+
+
 class TestLatticeMultiply:
     def test_known_product_with_generators(self, decimal_x):
         x = parse_lex("427", alphabet=decimal_x)
@@ -233,6 +273,36 @@ class TestLatticeMultiply:
             )
         )
         assert lattice_multiply(a, b, generators=gens) == multiply(a, b)
+
+    @given(numeral_pair(min_base=2, max_base=16, max_len=5), st.data())
+    def test_generators_without_one(self, pair, data):
+        a, b = pair
+        gens = data.draw(st.sets(st.integers(2, a.base), min_size=1, max_size=4))
+        sums = generator_sums(gens, a.base)
+        # a cell goes through when a digit is a generator or a sum of them
+        splittable = all(
+            x in gens or y in gens or x in sums or y in sums for x in a.digits for y in b.digits
+        )
+        if splittable:
+            assert lattice_multiply(a, b, generators=gens) == multiply(a, b)
+        else:
+            with pytest.raises(ValueError, match="cell"):
+                lattice_multiply(a, b, generators=gens)
+
+    @pytest.mark.parametrize(
+        "x, y, gens, parts",
+        [
+            ("6", "6", {3, 5}, (3, 3)),  # largest-first greedy takes 5 and is stuck
+            ("2", "6", {1, 3, 4}, (3, 3)),  # greedy would take 4 + 1 + 1
+            ("7", "6", {1, 2, 4, 5}, (5, 1)),  # fewest parts tie with 4 + 2: largest first
+        ],
+    )
+    def test_cell_split_is_fewest_parts(self, x, y, gens, parts):
+        a, b = dx(x), dx(y)
+        result, trace = lattice_multiply(a, b, generators=gens, trace=True)
+        assert omega(result) == omega(a) * omega(b)
+        cells = [s.split(" = ")[0] for s in trace.steps if s.startswith("cell")]
+        assert cells == [f"cell (1,1): {x}*{g}" for g in parts]
 
 
 class TestLatticeTrace:

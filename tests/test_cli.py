@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import zeroless
+from zeroless import core, tables
 from zeroless.cli import main
 
 
@@ -96,6 +97,11 @@ class TestArithmetic:
         assert lines[-2] == "with-zero: 14945"
         assert lines[-1] == "14945"
 
+    def test_mul_generators_split_exactly(self, capsys):
+        # 6 = 3 + 3, which a largest-first greedy split (5, then stuck) misses
+        code, out, err = run(capsys, "mul", "--generators", "3,5", "6", "6")
+        assert (code, out, err) == (0, "36\n", "")
+
     def test_undecomposable_cell_is_domain_error(self, capsys):
         code, out, err = run(capsys, "mul", "--generators", "2", "3", "3")
         assert (code, out) == (1, "")
@@ -141,6 +147,26 @@ class TestTable:
         assert lines[0] == "A\tA\tA"
         assert lines[-1] == "T\tT\tGT"
 
+    @pytest.mark.parametrize(
+        "op, base, alphabet",
+        [("mul", 4, "ACGT"), ("add", 4, "ACGT"), ("mul", 10, None), ("add", 10, None), ("mul", 60, None)],
+    )
+    def test_machine_matches_per_entry_rendering(self, capsys, op, base, alphabet):
+        build = tables.build_multiplication_table if op == "mul" else tables.build_addition_table
+        table = build(base)
+        alpha = core.Alphabet.from_string(alphabet) if alphabet else core.default_alphabet(base)
+
+        def show(digits):
+            return core.format_lex(core.LexNumeral(base, digits), alpha)
+
+        expected = "".join(
+            f"{show((a,))}\t{show((b,))}\t{show(table.entry(a, b))}\n"
+            for a in range(1, base + 1)
+            for b in range(1, base + 1)
+        )
+        argv = ["table", op, "--machine", "-b", str(base)] + (["-a", alphabet] if alphabet else [])
+        assert run(capsys, *argv) == (0, expected, "")
+
     def test_no_trailing_whitespace(self, capsys):
         _, out, _ = run(capsys, "table", "mul", "-b", "10")
         for line in out.splitlines():
@@ -155,6 +181,17 @@ class TestEnumerate:
     def test_count_zero(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--count", "0")
         assert (code, out) == (0, "")
+
+    @pytest.mark.parametrize("base, count", [(1, 40), (4, 3000), (60, 4000)])
+    def test_matches_sigma(self, capsys, base, count):
+        # 3000 and 4000 cross several batches and numeral lengths; base 60
+        # prints bracket ciphers
+        alpha = core.default_alphabet(base)
+        expected = "".join(core.format_lex(core.sigma(base, n), alpha) + "\n" for n in range(1, count + 1))
+        code, out, _ = run(capsys, "enumerate", "--count", str(count), "-b", str(base))
+        assert (code, out) == (0, expected)
+        if base == 60:
+            assert out.startswith("[1]\n[2]\n")
 
 
 class TestRankUnrank:

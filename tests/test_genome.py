@@ -127,6 +127,11 @@ class TestReadFasta:
         with pytest.raises(ValueError, match=r"line 3, column 2.*'X'.*'s'"):
             list(read_fasta(source))
 
+    def test_reject_column_on_lowercase_line(self):
+        source = io.StringIO(">s\nacgt\nacgxtt\n")
+        with pytest.raises(ValueError, match=r"^line 3, column 4: invalid base 'X' in record 's'$"):
+            list(read_fasta(source))
+
     def test_skip_drops_whole_record(self):
         text = ">good\nACGT\n>bad\nAC\nGN\n>tail\nTT\n"
         records = list(read_fasta(io.StringIO(text), policy="skip"))

@@ -9,7 +9,7 @@ from zeroless import (
     parse_lex,
     sigma,
 )
-from zeroless.tables import OpTable, render_table, table_entries
+from zeroless.tables import OpTable, render_table, table_entries, table_rows
 
 # k=4 addition grid over ACGT, row digit first
 ADDITION_4 = """
@@ -153,6 +153,13 @@ class TestRendering:
         assert lines[-1] == "4\t4\t14"
         bracket = table_entries(build_multiplication_table(60))
         assert bracket[-1] == "[60]\t[60]\t[59][60]"
+
+    def test_rows_are_the_machine_entries(self):
+        table = build_multiplication_table(12)
+        rows = list(table_rows(table))
+        assert len(rows) == 12
+        assert all(row.count("\n") == 12 and row.endswith("\n") for row in rows)
+        assert "".join(rows) == "".join(line + "\n" for line in table_entries(table))
 
     def test_kind_guard(self):
         with pytest.raises(ValueError):
