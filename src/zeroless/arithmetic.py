@@ -16,15 +16,8 @@ the same columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from zeroless import _backend
-from zeroless.core import LexNumeral, ZeroNumeral, omega, sigma
-
-
-def _check_same_base(a, b):
-    if a.base != b.base:
-        raise ValueError(f"base mismatch: {a.base} != {b.base}")
+from zeroless.core import LexNumeral, ZeroNumeral, _check_same_base, _Frozen, _set, omega, sigma
 
 
 def add(a: LexNumeral, b: LexNumeral) -> LexNumeral:
@@ -53,8 +46,7 @@ def multiply(a: LexNumeral, b: LexNumeral) -> LexNumeral:
     return sigma(a.base, omega(a) * omega(b))
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeTrace:
+class LatticeTrace(_Frozen):
     """Everything the lattice wrote down before the final rewrite.
 
     ``columns`` lists the collected entries per column, most significant
@@ -64,9 +56,14 @@ class LatticeTrace:
     numeral left after the column sums.
     """
 
-    columns: tuple[tuple[int, ...], ...]
-    steps: tuple[str, ...]
-    intermediate: ZeroNumeral
+    __slots__ = ("columns", "steps", "intermediate")
+
+    def __init__(
+        self, columns: tuple[tuple[int, ...], ...], steps: tuple[str, ...], intermediate: ZeroNumeral
+    ):
+        _set(self, "columns", columns)
+        _set(self, "steps", steps)
+        _set(self, "intermediate", intermediate)
 
 
 class _Splits:

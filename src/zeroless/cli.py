@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from zeroless import arithmetic, conversion, core, genome, tables
+from zeroless import __version__, arithmetic, conversion, core, genome, tables
 
 _BATCH = 1024  # enumerate writes this many lines at a time
 
@@ -186,6 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="zeroless",
         description="Zeroless positional numerals: rank, unrank, arithmetic, conversion.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="write a number as a zeroless numeral")

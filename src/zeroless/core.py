@@ -14,7 +14,7 @@ handling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 from zeroless import _backend, radix
 
@@ -28,16 +28,65 @@ _PEEL_BITS = 256
 #: Names accepted wherever an alphabet can be passed by name.
 NAMED_ALPHABETS = ("acgt", "decimal-x", "bracket")
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Alphabet:
+
+class _Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``__slots__``, sets them in its
+    ``__init__`` with ``object.__setattr__`` and, if they need checks,
+    calls its ``__post_init__`` to make them. It gets a field-wise repr,
+    equality and hash (an instance equals only instances of its own
+    class), copying and pickling through its constructor, and
+    AttributeError on assignment and deletion. Unlike ``dataclasses``,
+    this costs the importing process nothing beyond the class itself.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        get = operator.attrgetter(*names)
+        # the field values as a tuple, for one field too
+        cls._fields = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
+        cls.__match_args__ = names
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+
+class Alphabet(_Frozen):
     """Ordered display symbols for zeroless digits: symbol i means digit i+1.
 
     An alphabet is only a view used for parsing and formatting; digits are
     stored as integers, so any base works without a symbol table.
     """
 
-    symbols: tuple[str, ...]
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: tuple[str, ...]):
+        _set(self, "symbols", symbols)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.symbols:
@@ -94,12 +143,25 @@ def default_alphabet(base: int) -> Alphabet | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class LexNumeral:
+class LexNumeral(_Frozen):
     """Zeroless digit string, most significant first; empty means zero."""
 
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ("base", "digits")
+
+    def __init__(self, base: int, digits: tuple[int, ...]):
+        _set(self, "base", base)
+        _set(self, "digits", digits)
+        self.__post_init__()  # a class attribute, so wrappers see every construction
+
+    # written out rather than inherited: numerals are compared and hashed
+    # in hot loops, where the generic field getter costs about a quarter more
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.digits) == (other.base, other.digits)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.digits))
 
     def __post_init__(self):
         if self.base < 1:
@@ -122,12 +184,15 @@ class LexNumeral:
         return format_lex(self)
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroNumeral:
+class ZeroNumeral(_Frozen):
     """Classical with-zero digit string in canonical form (no leading zero)."""
 
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ("base", "digits")
+
+    def __init__(self, base: int, digits: tuple[int, ...]):
+        _set(self, "base", base)
+        _set(self, "digits", digits)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.base < 2:

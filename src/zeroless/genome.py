@@ -8,9 +8,7 @@ first, then alphabetically) is exactly comparing their ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from zeroless.core import LexNumeral, shortlex_compare
+from zeroless.core import LexNumeral, _Frozen, _set, shortlex_compare
 
 BASES = "ACGT"
 _VALUE = {c: i + 1 for i, c in enumerate(BASES)}
@@ -20,13 +18,15 @@ _QUAD = tuple(a + b + c + d for a in BASES for b in BASES for c in BASES for d i
 _POLICIES = ("reject", "skip")
 
 
-@dataclass(frozen=True, slots=True)
-class FastaRecord:
+class FastaRecord(_Frozen):
     """One FASTA record; ``line`` is where its header sits in the source."""
 
-    id: str
-    sequence: str
-    line: int
+    __slots__ = ("id", "sequence", "line")
+
+    def __init__(self, id: str, sequence: str, line: int):
+        _set(self, "id", id)
+        _set(self, "sequence", sequence)
+        _set(self, "line", line)
 
 
 def read_fasta(source, policy: str = "reject"):

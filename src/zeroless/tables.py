@@ -11,22 +11,26 @@ rank maps independently.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from zeroless._backend import zero_to_lex_digits
-from zeroless.core import Alphabet, LexNumeral, default_alphabet, format_lex
+from zeroless.core import Alphabet, LexNumeral, _Frozen, _set, default_alphabet, format_lex
 
 _OP_SYMBOL = {"addition": "+", "multiplication": "*"}
+# an alphabet argument left out: the base's default symbols (None means brackets)
+_DEFAULT = object()
 
 
-@dataclass(frozen=True, slots=True)
-class OpTable:
+class OpTable(_Frozen):
     """Zeroless digit-pair results for one operation in one base."""
 
-    kind: str
-    base: int
-    entries: dict[tuple[int, int], tuple[int, ...]]
+    __slots__ = ("kind", "base", "entries")
+
+    def __init__(self, kind: str, base: int, entries: dict[tuple[int, int], tuple[int, ...]]):
+        _set(self, "kind", kind)
+        _set(self, "base", base)
+        _set(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in _OP_SYMBOL:
@@ -90,9 +94,13 @@ def build_multiplication_table(k: int) -> OpTable:
     return OpTable("multiplication", k, entries)
 
 
-def render_table(table: OpTable, alphabet: Alphabet | None = None) -> str:
-    """Human-readable operation grid, row digit first."""
-    if alphabet is None:
+def render_table(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> str:
+    """Human-readable operation grid, row digit first.
+
+    Digits show in ``alphabet``, as bracket ciphers when it is None, and
+    in the base's default symbols when it is left out.
+    """
+    if alphabet is _DEFAULT:
         alphabet = default_alphabet(table.base)
     k = table.base
 
@@ -112,13 +120,14 @@ def render_table(table: OpTable, alphabet: Alphabet | None = None) -> str:
     return "\n".join(lines)
 
 
-def table_rows(table: OpTable, alphabet: Alphabet | None = None):
+def table_rows(table: OpTable, alphabet: Alphabet | None = _DEFAULT):
     """Machine-oriented lines "a<TAB>b<TAB>result", yielded one row at a time.
 
     Each item is the k lines of one row digit, every line ending in a
-    newline. Digit symbols and distinct results are formatted once.
+    newline. Digit symbols and distinct results are formatted once;
+    ``alphabet`` is read as in ``render_table``.
     """
-    if alphabet is None:
+    if alphabet is _DEFAULT:
         alphabet = default_alphabet(table.base)
     k = table.base
     labels = [format_lex(LexNumeral(k, (d,)), alphabet) for d in range(1, k + 1)]
@@ -137,6 +146,6 @@ def table_rows(table: OpTable, alphabet: Alphabet | None = None):
         yield "".join(cells)
 
 
-def table_entries(table: OpTable, alphabet: Alphabet | None = None) -> list:
+def table_entries(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> list:
     """Machine-oriented tab-delimited lines "a<TAB>b<TAB>result", row-major."""
     return [line for row in table_rows(table, alphabet) for line in row[:-1].split("\n")]

@@ -167,6 +167,25 @@ class TestTable:
         argv = ["table", op, "--machine", "-b", str(base)] + (["-a", alphabet] if alphabet else [])
         assert run(capsys, *argv) == (0, expected, "")
 
+    def test_bracket_grid(self, capsys):
+        code, out, _ = run(capsys, "table", "mul", "-b", "4", "-a", "bracket")
+        assert code == 0
+        assert out.splitlines() == [
+            "  *  [1]     [2]     [3]     [4]",
+            "[1]  [1]     [2]     [3]     [4]",
+            "[2]  [2]     [4]  [1][2]  [1][4]",
+            "[3]  [3]  [1][2]  [2][1]  [2][4]",
+            "[4]  [4]  [1][4]  [2][4]  [3][4]",
+        ]
+
+    def test_bracket_machine(self, capsys):
+        code, out, _ = run(capsys, "table", "add", "--machine", "-b", "3", "-a", "bracket")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 9
+        assert lines[0] == "[1]\t[1]\t[2]"
+        assert lines[-1] == "[3]\t[3]\t[1][3]"
+
     def test_no_trailing_whitespace(self, capsys):
         _, out, _ = run(capsys, "table", "mul", "-b", "10")
         for line in out.splitlines():
@@ -267,6 +286,25 @@ class TestAlphabetResolution:
     def test_bracket_output_above_ten(self, capsys):
         code, out, _ = run(capsys, "encode", "-b", "60", "14945")
         assert (code, out) == (0, "[4][9][5]\n")
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"zeroless {zeroless.__version__}\n"
+
+
+def test_import_leaves_out_heavy_stdlib_modules():
+    """Every CLI run pays for its imports: none of these may come with the package."""
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    code = (
+        "import sys; before = set(sys.modules); import zeroless.cli; "
+        f"print(sorted(set({heavy!r}) & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

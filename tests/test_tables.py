@@ -154,6 +154,12 @@ class TestRendering:
         bracket = table_entries(build_multiplication_table(60))
         assert bracket[-1] == "[60]\t[60]\t[59][60]"
 
+    def test_none_alphabet_is_brackets(self):
+        table = build_addition_table(4)
+        assert render_table(table, None).splitlines()[1] == "[1]     [2]     [3]     [4]  [1][1]"
+        assert table_entries(table, None)[-1] == "[4]\t[4]\t[1][4]"
+        assert table_entries(table)[-1] == "4\t4\t14"
+
     def test_rows_are_the_machine_entries(self):
         table = build_multiplication_table(12)
         rows = list(table_rows(table))

@@ -1,0 +1,183 @@
+"""Behaviour of the six value types: equality, hash, repr, immutability, copying."""
+
+import copy
+import pickle
+
+import pytest
+
+from zeroless import Alphabet, FastaRecord, LatticeTrace, LexNumeral, OpTable, ZeroNumeral
+
+
+def _trace(step="cell"):
+    return LatticeTrace(((1,), (2, 0)), (step,), ZeroNumeral(10, (1, 2)))
+
+
+# (make an instance, make one that differs, its fields, its repr)
+VALUES = {
+    "Alphabet": (
+        lambda: Alphabet(("A", "C")),
+        lambda: Alphabet(("A", "G")),
+        (("A", "C"),),
+        "Alphabet(symbols=('A', 'C'))",
+    ),
+    "LexNumeral": (
+        lambda: LexNumeral(10, (1, 2)),
+        lambda: LexNumeral(10, (2, 1)),
+        (10, (1, 2)),
+        "LexNumeral(base=10, digits=(1, 2))",
+    ),
+    "ZeroNumeral": (
+        lambda: ZeroNumeral(10, (1, 0)),
+        lambda: ZeroNumeral(10, (1, 1)),
+        (10, (1, 0)),
+        "ZeroNumeral(base=10, digits=(1, 0))",
+    ),
+    "LatticeTrace": (
+        _trace,
+        lambda: _trace("column"),
+        (((1,), (2, 0)), ("cell",), ZeroNumeral(10, (1, 2))),
+        "LatticeTrace(columns=((1,), (2, 0)), steps=('cell',), "
+        "intermediate=ZeroNumeral(base=10, digits=(1, 2)))",
+    ),
+    "FastaRecord": (
+        lambda: FastaRecord("r1", "ACGT", 3),
+        lambda: FastaRecord("r1", "ACGT", 4),
+        ("r1", "ACGT", 3),
+        "FastaRecord(id='r1', sequence='ACGT', line=3)",
+    ),
+    "OpTable": (
+        lambda: OpTable("addition", 1, {(1, 1): (1, 1)}),
+        lambda: OpTable("multiplication", 1, {(1, 1): (1,)}),
+        ("addition", 1, {(1, 1): (1, 1)}),
+        "OpTable(kind='addition', base=1, entries={(1, 1): (1, 1)})",
+    ),
+}
+
+NAMES = sorted(VALUES)
+HASHABLE = [name for name in NAMES if name != "OpTable"]  # OpTable holds a dict
+
+
+@pytest.fixture(params=NAMES)
+def case(request):
+    return VALUES[request.param]
+
+
+def test_equality(case):
+    make, other, _, _ = case
+    assert make() == make()
+    assert not make() != make()
+    assert make() != other()
+    assert make() != object()
+    assert make().__eq__(object()) is NotImplemented
+
+
+def test_field_order_and_keywords(case):
+    make, _, fields, _ = case
+    value = make()
+    cls = type(value)
+    assert cls(*fields) == value
+    names = cls.__match_args__
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert cls(**dict(zip(names, fields))) == value
+
+
+def test_same_fields_other_class_differ():
+    lex, zero = LexNumeral(4, (1, 2)), ZeroNumeral(4, (1, 2))
+    assert lex != zero and zero != lex
+    assert lex.__eq__(zero) is NotImplemented
+    assert len({lex, zero}) == 2
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_hash_is_the_hash_of_the_fields(name):
+    make, other, fields, _ = VALUES[name]
+    assert hash(make()) == hash(make()) == hash(fields)
+    assert len({make(), make(), other()}) == 2
+
+
+def test_table_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(VALUES["OpTable"][0]())
+
+
+def test_repr(case):
+    make, _, _, text = case
+    assert repr(make()) == text
+
+
+def test_str_of_numerals_is_the_text_form():
+    assert str(LexNumeral(10, (1, 10))) == "[1][10]"
+    assert str(ZeroNumeral(10, (1, 0))) == "10"
+
+
+def test_fields_cannot_be_assigned_or_deleted(case):
+    make, _, _, _ = case
+    value = make()
+    for name in type(value).__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert make() == value
+
+
+def test_no_other_attributes(case):
+    make, _, _, _ = case
+    value = make()
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_copies_and_pickles(case):
+    make, _, _, _ = case
+    value = make()
+    for dup in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(dup) is type(value)
+        assert dup == value
+        assert repr(dup) == repr(value)
+
+
+def test_deepcopy_copies_a_table_s_entries():
+    table = VALUES["OpTable"][0]()
+    dup = copy.deepcopy(table)
+    assert dup.entries == table.entries and dup.entries is not table.entries
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Alphabet(()),
+        lambda: Alphabet(("A", "A")),
+        lambda: Alphabet(("AB",)),
+        lambda: Alphabet(("[",)),
+        lambda: LexNumeral(0, ()),
+        lambda: LexNumeral(4, (5,)),
+        lambda: LexNumeral(4, (0, 1)),
+        lambda: ZeroNumeral(1, (0,)),
+        lambda: ZeroNumeral(10, ()),
+        lambda: ZeroNumeral(10, (10,)),
+        lambda: ZeroNumeral(10, (0, 1)),
+        lambda: OpTable("subtraction", 4, {}),
+    ],
+)
+def test_validation(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_every_lex_numeral_runs_post_init(monkeypatch):
+    seen = []
+    check = LexNumeral.__post_init__
+
+    def counting(self):
+        seen.append(self.digits)
+        check(self)
+
+    monkeypatch.setattr(LexNumeral, "__post_init__", counting)
+    LexNumeral(10, (1, 2))
+    LexNumeral(base=4, digits=())
+    assert seen == [(1, 2), ()]
+    with pytest.raises(ValueError):
+        LexNumeral(4, (5,))
+    assert seen == [(1, 2), (), (5,)]
