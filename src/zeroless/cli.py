@@ -14,7 +14,7 @@ import sys
 
 from zeroless import __version__, arithmetic, conversion, core, genome, tables
 
-_BATCH = 1024  # enumerate writes this many lines at a time
+_BATCH = 1024  # enumerate and rank write this many lines at a time
 
 
 def _natural(text: str) -> int:
@@ -127,15 +127,14 @@ def _cmd_convert(args) -> int:
 
 def _cmd_table(args) -> int:
     base, alpha = _alphabet_for(args)
-    if args.op == "add":
-        table = tables.build_addition_table(base)
-    else:
-        table = tables.build_multiplication_table(base)
-    if args.machine:
-        for row in tables.table_rows(table, alpha):
+    if args.machine:  # row by row, never the whole table
+        kind = "addition" if args.op == "add" else "multiplication"
+        for row in tables.stream_rows(kind, base, alpha):
             sys.stdout.write(row)
+    elif args.op == "add":
+        print(tables.render_table(tables.build_addition_table(base), alpha))
     else:
-        print(tables.render_table(table, alpha))
+        print(tables.render_table(tables.build_multiplication_table(base), alpha))
     return 0
 
 
@@ -156,11 +155,20 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_rank(args) -> int:
     if args.fasta == "-":
-        records = genome.read_fasta(sys.stdin, policy=args.policy)
+        # the bytes under a text stdin, so that they decode as a file's do
+        source = getattr(sys.stdin, "buffer", sys.stdin)
     else:
-        records = genome.read_fasta(args.fasta, policy=args.policy)
-    for rec in records:
-        print(f"{rec.id}\t{genome.rank_sequence(rec.sequence)}")
+        source = args.fasta
+    rank = genome.rank_sequence
+    lines = []
+    try:
+        for rec in genome.read_fasta(source, policy=args.policy):
+            lines.append(f"{rec.id}\t{rank(rec.sequence)}\n")
+            if len(lines) == _BATCH:
+                sys.stdout.write("".join(lines))
+                lines.clear()
+    finally:  # the records before a bad one are still printed
+        sys.stdout.write("".join(lines))
     return 0
 
 

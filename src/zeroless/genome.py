@@ -4,15 +4,31 @@ A sequence over A, C, G, T is read as a digit string with A=1, C=2,
 G=3, T=4; the empty sequence is zero. Rank and unrank are then the
 shortlex maps in base 4, and comparing sequences shortlex (length
 first, then alphabetically) is exactly comparing their ranks.
+
+``read_fasta`` streams its source in 64 KiB blocks and cuts them into
+whole records, so memory holds one block plus the largest record. A
+record that is a header line and then lines of bases only takes a few
+C-level string calls; any other text follows the per-line rules. Files
+and binary handles such as stdin's are decoded the same way: as ASCII,
+with universal newlines. A non-ASCII byte, in a header too, is an error.
 """
 
 from __future__ import annotations
+
+import io
+import os
 
 from zeroless.core import LexNumeral, _Frozen, _set, shortlex_compare
 
 BASES = "ACGT"
 _VALUE = {c: i + 1 for i, c in enumerate(BASES)}
-_TO_DIGIT = str.maketrans(BASES, "0123")
+_BASE_BYTES = BASES.encode()
+# each byte to a base-4 digit, A or a to "0" up to T or t to "3", and any
+# other byte to ".", which int() refuses (it would take "_", spaces, signs)
+_TO_DIGIT = bytes(
+    ord("0123"[BASES.index(chr(b).upper())]) if chr(b) in "ACGTacgt" else ord(".") for b in range(256)
+)
+_CHUNK = 1 << 16  # characters read from a FASTA source at a time
 # the four base-4 digits of a byte, most significant first, as bases
 _QUAD = tuple(a + b + c + d for a in BASES for b in BASES for c in BASES for d in BASES)
 _POLICIES = ("reject", "skip")
@@ -30,56 +46,117 @@ class FastaRecord(_Frozen):
 
 
 def read_fasta(source, policy: str = "reject"):
-    """Yield FastaRecord items from a path or text handle, in file order.
+    """Yield FastaRecord items from a path or a handle, in file order.
 
+    A path (``str``, ``bytes`` or ``os.PathLike``) or a binary handle is
+    read as ASCII with universal newlines, as a text-mode file is: FASTA
+    headers are ASCII, and a non-ASCII byte is a ``UnicodeDecodeError``.
+    A text handle is read as it is.
+
+    The source is read in blocks of ``_CHUNK`` characters and cut into
+    whole records, so memory holds one block plus the largest record.
     Lowercase bases are upcased. A record containing letters outside
     ACGT either raises (policy "reject", the default) or is dropped as a
     whole (policy "skip"). Records with no sequence lines at all are an
     error under both policies, as is sequence data before any header.
+    Blank lines and lines starting with ";" are ignored.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose one of {_POLICIES}")
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="ascii") as handle:
-            yield from _parse_fasta(handle, policy)
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source, "rb") as handle:
+            yield from _parse_fasta(_blocks(handle), policy)
     else:
-        yield from _parse_fasta(source, policy)
+        yield from _parse_fasta(_blocks(source), policy)
 
 
-def _parse_fasta(handle, policy):
-    header = None
+def _blocks(handle):
+    """The handle's text, ``_CHUNK`` at a time; bytes are decoded as ASCII
+    with universal newlines."""
+    read = handle.read
+    block = read(_CHUNK)
+    if isinstance(block, str):
+        while block:
+            yield block
+            block = read(_CHUNK)
+        return
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
+    while block:
+        yield newlines.decode(block.decode("ascii"))
+        block = read(_CHUNK)
+    yield newlines.decode("", final=True)
+
+
+def _parts(blocks):
+    """Split the text at every line that starts with ">".
+
+    The first part is the text before the first such line, preceded by
+    one blank line (numbered 0); each later part is a header line
+    without its ">", followed by the record's lines, without the final
+    newline. A block is cut after its last record boundary and the rest
+    carried over, so a record many blocks long is joined only once.
+    """
+    held = ["\n"]
+    for block in blocks:
+        cut = block.rfind("\n>")
+        if cut < 0:
+            held.append(block)
+            continue
+        held.append(block[:cut])
+        parts = "".join(held).split("\n>")
+        held = [block[cut + 2 :]]
+        yield from parts
+    yield from "".join(held).split("\n>")
+
+
+def _parse_fasta(blocks, policy):
+    header = None  # the record open under the per-line rules
     header_line = 0
     parts = []
     drop = False
-    for lineno, raw in enumerate(handle, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            if header is not None and not drop:
-                yield _record(header, parts, header_line)
-            header = line[1:].strip()
-            header_line = lineno
-            parts = []
-            drop = False
-        elif line.startswith(";"):
-            continue
-        else:
-            if header is None:
-                raise ValueError(f"line {lineno}: sequence data before the first '>' header")
-            if drop:
+    lineno = 0  # of the part's first line
+    for part in _parts(blocks):
+        if lineno:
+            # the common record: a header, then lines of bases only
+            head, _, body = part.partition("\n")
+            seq = body.replace("\n", "").upper()
+            if seq and seq.isascii() and not seq.encode().translate(None, _BASE_BYTES):
+                if header is not None and not drop:
+                    yield _record(header, parts, header_line)
+                header = None
+                yield FastaRecord(head.strip(), seq, lineno)
+                lineno += part.count("\n") + 1
                 continue
-            chunk = line.upper()
-            rest = chunk.lstrip(BASES)  # starts at the first invalid base
-            if not rest:
-                parts.append(chunk)
-            elif policy == "skip":
-                drop = True
-            else:
-                col = len(chunk) - len(rest) + 1
-                raise ValueError(
-                    f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
-                )
+            part = ">" + part
+        # anything else goes line by line: the text before the first
+        # header, comments, "\r", spaces, headers not at the start of a
+        # line, invalid bases, empty records
+        for raw in part.split("\n"):
+            line = raw.strip()
+            if not line or line[0] == ";":
+                pass
+            elif line[0] == ">":
+                if header is not None and not drop:
+                    yield _record(header, parts, header_line)
+                header = line[1:].strip()
+                header_line = lineno
+                parts = []
+                drop = False
+            elif header is None:
+                raise ValueError(f"line {lineno}: sequence data before the first '>' header")
+            elif not drop:
+                chunk = line.upper()
+                rest = chunk.lstrip(BASES)  # starts at the first invalid base
+                if not rest:
+                    parts.append(chunk)
+                elif policy == "skip":
+                    drop = True
+                else:
+                    col = len(chunk) - len(rest) + 1
+                    raise ValueError(
+                        f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
+                    )
+            lineno += 1
     if header is not None and not drop:
         yield _record(header, parts, header_line)
 
@@ -104,15 +181,15 @@ def rank_sequence(sequence: str) -> int:
     rank from minlex(4, n) = (4**n - 1) // 3, the rank of A*n; ``int``
     reads power-of-two bases in linear time.
     """
-    text = sequence.upper()
-    rest = text.lstrip(BASES)
-    if rest:
-        # int() would also take "_", spaces, signs and non-ASCII digits
-        raise ValueError(f"unexpected character {rest[0]!r} in sequence")
-    if not text:
+    if not sequence:
         return 0
-    n = len(text)
-    return int(text.translate(_TO_DIGIT), 4) + ((1 << 2 * n) - 1) // 3
+    if sequence.isascii():
+        try:
+            return int(sequence.encode().translate(_TO_DIGIT), 4) + ((1 << 2 * len(sequence)) - 1) // 3
+        except ValueError:  # a "." from a byte that is not a base
+            pass
+    rest = sequence.upper().lstrip(BASES)
+    raise ValueError(f"unexpected character {rest[0]!r} in sequence")
 
 
 def unrank_sequence(n: int) -> str:

@@ -120,30 +120,64 @@ def render_table(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> str:
     return "\n".join(lines)
 
 
+def _labels(k, alphabet):
+    if alphabet is _DEFAULT:
+        alphabet = default_alphabet(k)
+    return [format_lex(LexNumeral(k, (d,)), alphabet) for d in range(1, k + 1)]
+
+
+def _rows(labels, results):
+    """Lines "a<TAB>b<TAB>result", one row digit's k lines per item.
+
+    ``results(a)`` gives the texts of the results in row ``a``.
+    """
+    rights = [f"\t{label}\t" for label in labels]
+    for a, left in enumerate(labels, start=1):
+        yield "".join([f"{left}{right}{text}\n" for right, text in zip(rights, results(a))])
+
+
 def table_rows(table: OpTable, alphabet: Alphabet | None = _DEFAULT):
     """Machine-oriented lines "a<TAB>b<TAB>result", yielded one row at a time.
 
     Each item is the k lines of one row digit, every line ending in a
-    newline. Digit symbols and distinct results are formatted once;
-    ``alphabet`` is read as in ``render_table``.
+    newline. ``alphabet`` is read as in ``render_table``.
     """
-    if alphabet is _DEFAULT:
-        alphabet = default_alphabet(table.base)
     k = table.base
-    labels = [format_lex(LexNumeral(k, (d,)), alphabet) for d in range(1, k + 1)]
-    rights = [f"\t{label}\t" for label in labels]
-    shown = {}  # result digits -> text
+    labels = _labels(k, alphabet)
     entries = table.entries
-    for a, left in enumerate(labels, start=1):
-        cells = []
-        for b, right in enumerate(rights, start=1):
-            digits = entries[(a, b)]
-            text = shown.get(digits)
-            if text is None:
-                # a numeral renders as its digits' renderings side by side
-                text = shown[digits] = "".join([labels[d - 1] for d in digits])
-            cells.append(f"{left}{right}{text}\n")
-        yield "".join(cells)
+
+    def results(a):
+        # a numeral renders as its digits' renderings side by side
+        return ["".join([labels[d - 1] for d in entries[(a, b)]]) for b in range(1, k + 1)]
+
+    return _rows(labels, results)
+
+
+def stream_rows(kind: str, k: int, alphabet: Alphabet | None = _DEFAULT):
+    """``table_rows(build_<kind>_table(k), alphabet)`` without the table.
+
+    Each row is worked out on its own, so memory holds O(k) entries, not
+    the k**2 of ``OpTable.entries``. An entry's value v is at most k**2,
+    so ``divmod(v, k)`` gives its with-zero digits [h][l], and the
+    borrow sweep is one step: [h][0] becomes [h-1][k]. That also gives
+    the row and column of the digit k, which classical tables lack
+    (j + k is [1][j], j * k is [j-1][k]).
+    """
+    if kind not in _OP_SYMBOL:
+        raise ValueError(f"unknown table kind {kind!r}")
+    if k < 1:
+        raise ValueError(f"base must be >= 1, got {k}")
+    op = operator.add if kind == "addition" else operator.mul
+    labels = _labels(k, alphabet)
+
+    def results(a):
+        for b in range(1, k + 1):
+            high, low = divmod(op(a, b), k)
+            if not low:
+                high, low = high - 1, k
+            yield labels[high - 1] + labels[low - 1] if high else labels[low - 1]
+
+    return _rows(labels, results)
 
 
 def table_entries(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> list:

@@ -241,6 +241,13 @@ class TestRankUnrank:
         assert (code, out) == (1, "")
         assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("data", [b">s\r\nGATT\r\n", b">ok\nA\n>s\xc3\xa9\nGATT\n"])
+    def test_rank_stdin_reads_the_bytes_under_text(self, capsys, monkeypatch, tmp_path, data):
+        path = tmp_path / "reads.fa"
+        path.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run(capsys, "rank") == run(capsys, "rank", "--fasta", str(path))
+
     def test_undecodable_file_is_one_line_error(self, capsys, tmp_path):
         path = tmp_path / "latin.fa"
         path.write_bytes(b">caf\xe9\nACGT\n")
@@ -305,6 +312,35 @@ def test_import_leaves_out_heavy_stdlib_modules():
     env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_MANY_READS = b"".join(b">r%d\nACGTTGCA\nac\n" % i for i in range(6000))  # over one block
+
+
+@pytest.mark.parametrize(
+    "data, code, lines",
+    [
+        (b">s\xc3\xa9\nGATT\n", 1, 0),  # a UTF-8 header: headers are ASCII
+        (b">a\r\nGA\r\nTT\r\n>b\rCAT\r", 0, 2),  # CRLF and lone CR line ends
+        (b">ok\nACGT\n>bad\nAXGT\n", 1, 1),
+        (_MANY_READS, 0, 6000),
+        (_MANY_READS + b">bad\nNN\n", 1, 6000),  # the records before the error are printed
+    ],
+)
+def test_rank_file_and_stdin_agree(tmp_path, data, code, lines):
+    """A real process decodes its stdin as it decodes a file, whatever PYTHONIOENCODING says."""
+    path = tmp_path / "in.fa"
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    cli = [sys.executable, "-m", "zeroless.cli", "rank"]
+    first = subprocess.run(cli + ["--fasta", str(path)], capture_output=True, env=env, timeout=60)
+    assert (first.returncode, first.stdout.count(b"\n"), first.stderr.count(b"\n")) == (code, lines, code)
+    for encoding in ("utf-8", "latin-1"):
+        with open(path, "rb") as stdin:
+            proc = subprocess.run(
+                cli, stdin=stdin, capture_output=True, env=dict(env, PYTHONIOENCODING=encoding), timeout=60
+            )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (first.returncode, first.stdout, first.stderr)
 
 
 def test_missing_subcommand_is_usage_error(capsys):

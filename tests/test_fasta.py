@@ -1,0 +1,195 @@
+"""The block reader in ``genome.read_fasta`` against a plain line loop.
+
+``reference_fasta`` is the reader as a line-at-a-time loop over a text
+handle, with the same rules: blank lines and ";" comments are skipped, a
+stripped line starting with ">" opens a record, any other line is
+sequence data, checked base by base. The block reader must give the same
+records, or the same exception, in the same order.
+"""
+
+import io
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zeroless import FastaRecord, genome, rank_sequence, read_fasta
+
+
+def reference_fasta(handle, policy="reject"):
+    header = None
+    header_line = 0
+    parts = []
+    drop = False
+    for lineno, raw in enumerate(handle, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            if header is not None and not drop:
+                yield _reference_record(header, parts, header_line)
+            header = line[1:].strip()
+            header_line = lineno
+            parts = []
+            drop = False
+        elif line.startswith(";"):
+            continue
+        else:
+            if header is None:
+                raise ValueError(f"line {lineno}: sequence data before the first '>' header")
+            if drop:
+                continue
+            chunk = line.upper()
+            bad = next((i for i, c in enumerate(chunk) if c not in "ACGT"), None)
+            if bad is None:
+                parts.append(chunk)
+            elif policy == "skip":
+                drop = True
+            else:
+                raise ValueError(
+                    f"line {lineno}, column {bad + 1}: invalid base {chunk[bad]!r} in record {header!r}"
+                )
+    if header is not None and not drop:
+        yield _reference_record(header, parts, header_line)
+
+
+def _reference_record(header, parts, lineno):
+    if not parts:
+        raise ValueError(f"line {lineno}: record {header!r} has an empty sequence")
+    return FastaRecord(header, "".join(parts), lineno)
+
+
+def outcome(records):
+    """The records a reader yields, then the exception it ends with, if any."""
+    got = []
+    try:
+        for rec in records:
+            got.append(rec)
+    except ValueError as exc:
+        got.append((type(exc), str(exc)))
+    return got
+
+
+def assert_same(text, policy):
+    expected = outcome(reference_fasta(io.StringIO(text), policy))
+    assert outcome(read_fasta(io.StringIO(text), policy)) == expected
+    if text.isascii():
+        # bytes are read with universal newlines, as a text-mode file is
+        universal = outcome(reference_fasta(io.StringIO(text, newline=None), policy))
+        assert outcome(read_fasta(io.BytesIO(text.encode()), policy)) == universal
+
+
+bases = st.text(alphabet="ACGTacgt", min_size=1, max_size=30)
+headers = st.builds(
+    lambda lead, inner, name, trail: lead + ">" + inner + name + trail,
+    st.sampled_from(["", "", "", " ", "\t"]),  # a header need not start its line
+    st.sampled_from(["", "", " ", "\t "]),
+    st.text(alphabet="abz019 _|é", max_size=8),
+    st.sampled_from(["", "", " ", "\t", "\r"]),
+)
+lines = st.one_of(
+    bases,
+    bases,
+    bases,
+    st.builds(lambda a, bad, b: a + bad + b, bases, st.sampled_from("NnX- \t*0>;é"), bases),
+    st.sampled_from(["", "  ", "\t", "; a comment", ";", " ; indented comment"]),
+    headers,
+)
+
+
+@st.composite
+def fasta_texts(draw):
+    body = draw(st.lists(lines, max_size=25))
+    if draw(st.booleans()):  # often start at a header
+        body.insert(0, draw(headers))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = newline.join(body)
+    if body and draw(st.booleans()):
+        text += newline
+    return text
+
+
+class TestParity:
+    @settings(max_examples=400, deadline=None)
+    @given(fasta_texts(), st.sampled_from(["reject", "skip"]))
+    def test_generated_texts(self, text, policy):
+        assert_same(text, policy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fasta_texts(), st.sampled_from(["reject", "skip"]), st.integers(1, 12))
+    def test_generated_texts_small_blocks(self, text, policy, chunk):
+        saved = genome._CHUNK
+        genome._CHUNK = chunk
+        try:
+            assert_same(text, policy)
+        finally:
+            genome._CHUNK = saved
+
+    SAMPLES = [
+        ">r1 first\nACGT\nacgt\n>  r2  spaced\t\nGATTACA\n\n>r3\r\nAC\r\nGT\r\n",
+        "; comment\n\n>a\nAC\n;inner\nGT\n  >b  \nTT\n>c\nA N\n>d\nCCCC",
+        ">x\nACGT\n>y\n>z\nAA\n",
+        ">good\nACGT\n>bad\nAC\nGN\n>tail\nTT\n",
+        "AC\n>late\nGT\n",
+        ">h\nA\rC\n>\nG\n\r\n>k\nT\n",
+    ]
+
+    @pytest.mark.parametrize("text", SAMPLES)
+    @pytest.mark.parametrize("policy", ["reject", "skip"])
+    def test_every_block_size(self, monkeypatch, text, policy):
+        # puts a block boundary inside headers, inside bodies, between
+        # "\n" and ">", and inside "\r\n"
+        for size in range(1, len(text) + 1):
+            monkeypatch.setattr(genome, "_CHUNK", size)
+            assert_same(text, policy)
+
+
+class TestLongRecords:
+    def test_record_many_blocks_long(self, monkeypatch):
+        rng = random.Random(12)
+        seq = "".join(rng.choices("ACGT", k=5000))
+        lines = [seq[i : i + 61] for i in range(0, len(seq), 61)]
+        text = ">long\n" + "\n".join(lines) + "\n>next\nGATT\n"
+        for size in (1, 7, 64, 4096):
+            monkeypatch.setattr(genome, "_CHUNK", size)
+            assert list(read_fasta(io.StringIO(text))) == [
+                FastaRecord("long", seq, 1),
+                FastaRecord("next", "GATT", len(lines) + 2),
+            ]
+
+    def test_record_longer_than_default_blocks(self, tmp_path):
+        rng = random.Random(13)
+        seq = "".join(rng.choices("ACGT", k=5 * genome._CHUNK))
+        path = tmp_path / "long.fa"
+        path.write_text(">a\nC\n>long\n" + "\n".join(seq[i : i + 80] for i in range(0, len(seq), 80)) + "\n")
+        a, rec = read_fasta(path)
+        assert (a, rec.id, rec.line) == (FastaRecord("a", "C", 1), "long", 3)
+        assert rec.sequence == seq
+        assert rank_sequence(rec.sequence) == int(seq.translate(str.maketrans("ACGT", "0123")), 4) + (
+            4 ** len(seq) - 1
+        ) // 3
+
+
+class TestSources:
+    def test_path_like(self, tmp_path):
+        path = tmp_path / "t.fa"
+        path.write_text(">s\nGATT\n")
+        assert list(read_fasta(path)) == [FastaRecord("s", "GATT", 1)]
+        assert list(read_fasta(bytes(path))) == [FastaRecord("s", "GATT", 1)]
+
+    def test_binary_handle_reads_like_a_file(self, tmp_path):
+        data = b">s\r\nGA\rTT\r\n>t\nCAT\n"
+        path = tmp_path / "t.fa"
+        path.write_bytes(data)
+        expected = [FastaRecord("s", "GATT", 1), FastaRecord("t", "CAT", 4)]
+        assert list(read_fasta(path)) == list(read_fasta(io.BytesIO(data))) == expected
+
+    def test_non_ascii_byte_is_an_error_from_bytes(self, tmp_path):
+        data = ">sé\nGATT\n".encode()
+        path = tmp_path / "u.fa"
+        path.write_bytes(data)
+        for source in (path, io.BytesIO(data)):
+            with pytest.raises(UnicodeDecodeError, match="'ascii' codec"):
+                list(read_fasta(source))
+        # a text handle is taken as it is
+        assert list(read_fasta(io.StringIO(data.decode()))) == [FastaRecord("sé", "GATT", 1)]

@@ -9,7 +9,7 @@ from zeroless import (
     parse_lex,
     sigma,
 )
-from zeroless.tables import OpTable, render_table, table_entries, table_rows
+from zeroless.tables import OpTable, render_table, stream_rows, table_entries, table_rows
 
 # k=4 addition grid over ACGT, row digit first
 ADDITION_4 = """
@@ -166,6 +166,22 @@ class TestRendering:
         assert len(rows) == 12
         assert all(row.count("\n") == 12 and row.endswith("\n") for row in rows)
         assert "".join(rows) == "".join(line + "\n" for line in table_entries(table))
+
+    @pytest.mark.parametrize("k", [*range(1, 14), 60, 101])
+    @pytest.mark.parametrize("kind", ["addition", "multiplication"])
+    def test_stream_rows_match_the_built_table(self, kind, k):
+        table = (build_addition_table if kind == "addition" else build_multiplication_table)(k)
+        assert list(stream_rows(kind, k)) == list(table_rows(table))
+        assert list(stream_rows(kind, k, None)) == list(table_rows(table, None))
+        if k == 4:
+            acgt = Alphabet.named("acgt")
+            assert list(stream_rows(kind, k, acgt)) == list(table_rows(table, acgt))
+
+    def test_stream_rows_guards(self):
+        with pytest.raises(ValueError, match="base must be >= 1"):
+            stream_rows("addition", 0)
+        with pytest.raises(ValueError, match="unknown table kind"):
+            stream_rows("division", 4)
 
     def test_kind_guard(self):
         with pytest.raises(ValueError):
