@@ -27,14 +27,12 @@ from zeroless.core import (
     maxlex,
     minlex,
     omega,
-    omega_recursive,
     parse_lex,
     parse_zero,
     predecessor,
     rank_within_length,
     shortlex_compare,
     sigma,
-    sigma_oracle,
     successor,
 )
 from zeroless.genome import (
@@ -70,7 +68,6 @@ __all__ = [
     "multiply",
     "multiply_by_base",
     "omega",
-    "omega_recursive",
     "omega_zero",
     "parse_lex",
     "parse_zero",
@@ -82,7 +79,6 @@ __all__ = [
     "sequence_order",
     "shortlex_compare",
     "sigma",
-    "sigma_oracle",
     "successor",
     "theta_lex_to_zero",
     "theta_zero_to_lex",

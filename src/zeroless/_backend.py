@@ -1,37 +1,22 @@
-"""Kernel backend selection.
+"""The digit kernels, under the names the other modules call them by.
 
-Imports the compiled digit kernels when the extension was built, falling
-back to the pure-Python module otherwise. Set ZEROLESS_PURE=1 to force
-the fallback (useful for benchmarking and debugging).
+The kernels are defined in ``_kernels_py``; this module only re-exports
+them.
 """
 
-import os
-
-from zeroless import _kernels_py
-
-if os.environ.get("ZEROLESS_PURE"):
-    _impl = _kernels_py
-    BACKEND = "pure"
-else:
-    try:
-        from zeroless import _kernels_cy as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "pure"
-
-add_digits = _impl.add_digits
-scale_digits = _impl.scale_digits
-successor_digits = _impl.successor_digits
-predecessor_digits = _impl.predecessor_digits
-multiply_by_base_digits = _impl.multiply_by_base_digits
-multiply_digits = _impl.multiply_digits
-lex_to_zero_digits = _impl.lex_to_zero_digits
-zero_to_lex_digits = _impl.zero_to_lex_digits
-horner_value = _impl.horner_value
+from zeroless._kernels_py import (  # noqa: F401
+    add_digits,
+    horner_value,
+    lex_to_zero_digits,
+    multiply_by_base_digits,
+    multiply_digits,
+    predecessor_digits,
+    scale_digits,
+    successor_digits,
+    zero_to_lex_digits,
+)
 
 
 def backend_name():
-    """Name of the active kernel backend: "compiled" or "pure"."""
-    return BACKEND
+    """Name of the kernel implementation; always "pure" (Python)."""
+    return "pure"

@@ -2,11 +2,10 @@
 
 Digit lists are most-significant-first. Zeroless digits lie in [1, k],
 with-zero digits in [0, k-1]. Every function returns a fresh list; inputs
-are never mutated. A compiled twin of this module may be selected at
-import time (see _backend).
+are never mutated. The rest of the package calls them through _backend.
 """
 
-# radix accumulation; _backend and the compiled module both take it from here
+# radix accumulation, exported with the digit kernels
 from zeroless.radix import value as horner_value  # noqa: F401
 
 

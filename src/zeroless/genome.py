@@ -10,7 +10,8 @@ whole records, so memory holds one block plus the largest record. A
 record that is a header line and then lines of bases only takes a few
 C-level string calls; any other text follows the per-line rules. Files
 and binary handles such as stdin's are decoded the same way: as ASCII,
-with universal newlines. A non-ASCII byte, in a header too, is an error.
+with universal newlines. A non-ASCII byte, in a header too, is an error
+that names its line, raised after the records before its own.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 import io
 import os
 
-from zeroless.core import LexNumeral, _Frozen, _set, shortlex_compare
+from zeroless.core import _Frozen, _set
 
 BASES = "ACGT"
-_VALUE = {c: i + 1 for i, c in enumerate(BASES)}
 _BASE_BYTES = BASES.encode()
 # each byte to a base-4 digit, A or a to "0" up to T or t to "3", and any
 # other byte to ".", which int() refuses (it would take "_", spaces, signs)
@@ -50,8 +50,9 @@ def read_fasta(source, policy: str = "reject"):
 
     A path (``str``, ``bytes`` or ``os.PathLike``) or a binary handle is
     read as ASCII with universal newlines, as a text-mode file is: FASTA
-    headers are ASCII, and a non-ASCII byte is a ``UnicodeDecodeError``.
-    A text handle is read as it is.
+    headers are ASCII, and a non-ASCII byte is a ``UnicodeDecodeError``
+    that names its line and column, raised after the records before the
+    byte's own. A text handle is read as it is.
 
     The source is read in blocks of ``_CHUNK`` characters and cut into
     whole records, so memory holds one block plus the largest record.
@@ -70,9 +71,31 @@ def read_fasta(source, policy: str = "reject"):
         yield from _parse_fasta(_blocks(source), policy)
 
 
+class _BadByte(Exception):
+    """A byte that is not ASCII in a FASTA source's bytes.
+
+    ``text`` is the text of the byte's part (see ``_parts``) before it.
+    """
+
+    def __init__(self, byte):
+        self.byte = byte
+        self.text = ""
+
+    def error(self, lineno):
+        """The ``UnicodeDecodeError`` naming the byte's line and column,
+        ``lineno`` being the line where ``text`` starts."""
+        start = self.text.rfind("\n") + 1  # of the byte's line
+        line = self.text[start:].encode() + bytes([self.byte])
+        lineno += self.text.count("\n")
+        col = len(line)
+        reason = f"line {lineno}, column {col}: FASTA text must be ASCII"
+        return UnicodeDecodeError("ascii", line, col - 1, col, reason)
+
+
 def _blocks(handle):
     """The handle's text, ``_CHUNK`` at a time; bytes are decoded as ASCII
-    with universal newlines."""
+    with universal newlines, and a byte that is not ASCII ends them with
+    a ``_BadByte``, after the text before it."""
     read = handle.read
     block = read(_CHUNK)
     if isinstance(block, str):
@@ -82,7 +105,13 @@ def _blocks(handle):
         return
     newlines = io.IncrementalNewlineDecoder(None, translate=True)
     while block:
-        yield newlines.decode(block.decode("ascii"))
+        try:
+            text = block.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # the text before the bad byte still counts: yield it, then fail
+            yield newlines.decode(block[: exc.start].decode("ascii"), final=True)
+            raise _BadByte(block[exc.start]) from None
+        yield newlines.decode(text)
         block = read(_CHUNK)
     yield newlines.decode("", final=True)
 
@@ -95,17 +124,26 @@ def _parts(blocks):
     without its ">", followed by the record's lines, without the final
     newline. A block is cut after its last record boundary and the rest
     carried over, so a record many blocks long is joined only once.
+
+    When the blocks end in a ``_BadByte``, the parts before the one
+    holding the byte are yielded first, and that part's text up to the
+    byte goes with the error.
     """
     held = ["\n"]
-    for block in blocks:
-        cut = block.rfind("\n>")
-        if cut < 0:
-            held.append(block)
-            continue
-        held.append(block[:cut])
-        parts = "".join(held).split("\n>")
-        held = [block[cut + 2 :]]
+    try:
+        for block in blocks:
+            cut = block.rfind("\n>")
+            if cut < 0:
+                held.append(block)
+                continue
+            held.append(block[:cut])
+            parts = "".join(held).split("\n>")
+            held = [block[cut + 2 :]]
+            yield from parts
+    except _BadByte as exc:
+        *parts, exc.text = "".join(held).split("\n>")
         yield from parts
+        raise
     yield from "".join(held).split("\n>")
 
 
@@ -115,48 +153,54 @@ def _parse_fasta(blocks, policy):
     parts = []
     drop = False
     lineno = 0  # of the part's first line
-    for part in _parts(blocks):
-        if lineno:
-            # the common record: a header, then lines of bases only
-            head, _, body = part.partition("\n")
-            seq = body.replace("\n", "").upper()
-            if seq and seq.isascii() and not seq.encode().translate(None, _BASE_BYTES):
-                if header is not None and not drop:
-                    yield _record(header, parts, header_line)
-                header = None
-                yield FastaRecord(head.strip(), seq, lineno)
-                lineno += part.count("\n") + 1
-                continue
-            part = ">" + part
-        # anything else goes line by line: the text before the first
-        # header, comments, "\r", spaces, headers not at the start of a
-        # line, invalid bases, empty records
-        for raw in part.split("\n"):
-            line = raw.strip()
-            if not line or line[0] == ";":
-                pass
-            elif line[0] == ">":
-                if header is not None and not drop:
-                    yield _record(header, parts, header_line)
-                header = line[1:].strip()
-                header_line = lineno
-                parts = []
-                drop = False
-            elif header is None:
-                raise ValueError(f"line {lineno}: sequence data before the first '>' header")
-            elif not drop:
-                chunk = line.upper()
-                rest = chunk.lstrip(BASES)  # starts at the first invalid base
-                if not rest:
-                    parts.append(chunk)
-                elif policy == "skip":
-                    drop = True
-                else:
-                    col = len(chunk) - len(rest) + 1
-                    raise ValueError(
-                        f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
-                    )
-            lineno += 1
+    try:
+        for part in _parts(blocks):
+            if lineno:
+                # the common record: a header, then lines of bases only
+                head, _, body = part.partition("\n")
+                seq = body.replace("\n", "").upper()
+                if seq and seq.isascii() and not seq.encode().translate(None, _BASE_BYTES):
+                    if header is not None and not drop:
+                        yield _record(header, parts, header_line)
+                    header = None
+                    yield FastaRecord(head.strip(), seq, lineno)
+                    lineno += part.count("\n") + 1
+                    continue
+                part = ">" + part
+            # anything else goes line by line: the text before the first
+            # header, comments, "\r", spaces, headers not at the start of a
+            # line, invalid bases, empty records
+            for raw in part.split("\n"):
+                line = raw.strip()
+                if not line or line[0] == ";":
+                    pass
+                elif line[0] == ">":
+                    if header is not None and not drop:
+                        yield _record(header, parts, header_line)
+                    header = line[1:].strip()
+                    header_line = lineno
+                    parts = []
+                    drop = False
+                elif header is None:
+                    raise ValueError(f"line {lineno}: sequence data before the first '>' header")
+                elif not drop:
+                    chunk = line.upper()
+                    rest = chunk.lstrip(BASES)  # starts at the first invalid base
+                    if not rest:
+                        parts.append(chunk)
+                    elif policy == "skip":
+                        drop = True
+                    else:
+                        col = len(chunk) - len(rest) + 1
+                        raise ValueError(
+                            f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
+                        )
+                lineno += 1
+    except _BadByte as exc:
+        # the record before the bad byte's one is complete
+        if header is not None and not drop:
+            yield _record(header, parts, header_line)
+        raise exc.error(lineno) from None
     if header is not None and not drop:
         yield _record(header, parts, header_line)
 
@@ -165,13 +209,6 @@ def _record(header, parts, lineno):
     if not parts:
         raise ValueError(f"line {lineno}: record {header!r} has an empty sequence")
     return FastaRecord(header, "".join(parts), lineno)
-
-
-def _digits(sequence: str) -> tuple:
-    try:
-        return tuple(_VALUE[c] for c in sequence.upper())
-    except KeyError as exc:
-        raise ValueError(f"unexpected character {exc.args[0]!r} in sequence") from None
 
 
 def rank_sequence(sequence: str) -> int:
@@ -207,6 +244,14 @@ def unrank_sequence(n: int) -> str:
 def sequence_order(a: str, b: str) -> int:
     """Shortlex comparison of two DNA sequences: -1, 0 or 1.
 
-    Agrees with comparing ranks as integers, without computing them.
+    Agrees with comparing ranks as integers, without computing them:
+    over ACGT, shortlex order is the order of (length, upcased text).
     """
-    return shortlex_compare(LexNumeral(4, _digits(a)), LexNumeral(4, _digits(b)))
+    keys = []
+    for sequence in (a, b):
+        upper = sequence.upper()
+        rest = upper.lstrip(BASES)
+        if rest:
+            raise ValueError(f"unexpected character {rest[0]!r} in sequence")
+        keys.append((len(upper), upper))
+    return (keys[0] > keys[1]) - (keys[0] < keys[1])

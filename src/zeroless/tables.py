@@ -1,11 +1,11 @@
 """Single-digit operation tables for zeroless arithmetic.
 
-The tables are not computed by ranking. Each one is obtained from the
-classical with-zero table by rewriting every entry with the value-
-preserving borrow sweep (so trailing zeros disappear into the digit k)
-and then extending it with a row and column for the digit k itself,
-which classical tables do not have. Tests check the result against the
-rank maps independently.
+The tables are not computed by ranking. An entry a op b is at most
+k**2, so ``divmod`` by k gives its with-zero digits [h][l], and the
+value-preserving borrow sweep to zeroless digits is one step: [h][0]
+becomes [h-1][k]. The same rule gives the row and column of the digit
+k, which classical tables lack. Tests check the result against the rank
+maps independently.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from zeroless._backend import zero_to_lex_digits
 from zeroless.core import Alphabet, LexNumeral, _Frozen, _set, default_alphabet, format_lex
 
 _OP_SYMBOL = {"addition": "+", "multiplication": "*"}
+_OP = {"addition": operator.add, "multiplication": operator.mul}
 # an alphabet argument left out: the base's default symbols (None means brackets)
 _DEFAULT = object()
 
@@ -51,47 +51,42 @@ class OpTable(_Frozen):
         return _OP_SYMBOL[self.kind]
 
 
-def _classical_entries(k, op):
-    """Results of op on the digits 1..k-1, from with-zero form rewritten zeroless."""
+def _row(kind, k, a):
+    """Digits (high, low) of ``a op b`` for b = 1..k; high is 0 for one digit."""
+    op = _OP[kind]
+    row = []
+    for b in range(1, k + 1):
+        high, low = divmod(op(a, b), k)
+        row.append((high, low) if low else (high - 1, k))
+    return row
+
+
+def _check(kind, k):
+    if kind not in _OP:
+        raise ValueError(f"unknown table kind {kind!r}")
+    if k < 1:
+        raise ValueError(f"base must be >= 1, got {k}")
+
+
+def _build(kind, k):
+    _check(kind, k)
     entries = {}
-    cells = {}  # many digit pairs share a result value
-    for a in range(1, k):
-        for b in range(a, k):  # op is commutative
-            v = op(a, b)
-            if v not in cells:
-                # v < k**2, so its with-zero form has at most two digits
-                high, low = divmod(v, k)
-                classical = (high, low) if high else (low,)
-                cells[v] = tuple(zero_to_lex_digits(classical, k))
-            entries[(a, b)] = entries[(b, a)] = cells[v]
-    return entries
+    for a in range(1, k + 1):
+        for b, (high, low) in enumerate(_row(kind, k, a), start=1):
+            entries[(a, b)] = (high, low) if high else (low,)
+    return OpTable(kind, k, entries)
 
 
 @lru_cache(maxsize=None)
 def build_addition_table(k: int) -> OpTable:
     """Digit sums 1..k by 1..k as zeroless strings; cached per base."""
-    if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
-    entries = _classical_entries(k, operator.add)
-    for j in range(1, k + 1):
-        # the digit k has no classical counterpart: j + k rolls over to [1][j]
-        entries[(j, k)] = (1, j)
-        entries[(k, j)] = (1, j)
-    return OpTable("addition", k, entries)
+    return _build("addition", k)
 
 
 @lru_cache(maxsize=None)
 def build_multiplication_table(k: int) -> OpTable:
     """Digit products 1..k by 1..k as zeroless strings; cached per base."""
-    if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
-    entries = _classical_entries(k, operator.mul)
-    for j in range(1, k + 1):
-        # j * k = (j-1) shifted once, then the digit k; for j = 1 just [k]
-        product = (j - 1, k) if j > 1 else (k,)
-        entries[(j, k)] = product
-        entries[(k, j)] = product
-    return OpTable("multiplication", k, entries)
+    return _build("multiplication", k)
 
 
 def render_table(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> str:
@@ -121,18 +116,20 @@ def render_table(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> str:
 
 
 def _labels(k, alphabet):
+    """Each digit's rendering, indexed by the digit; index 0 holds ""."""
     if alphabet is _DEFAULT:
         alphabet = default_alphabet(k)
-    return [format_lex(LexNumeral(k, (d,)), alphabet) for d in range(1, k + 1)]
+    return ["", *(format_lex(LexNumeral(k, (d,)), alphabet) for d in range(1, k + 1))]
 
 
 def _rows(labels, results):
     """Lines "a<TAB>b<TAB>result", one row digit's k lines per item.
 
-    ``results(a)`` gives the texts of the results in row ``a``.
+    ``results(a)`` gives the texts of the results in row ``a``; a
+    numeral renders as its digits' renderings side by side.
     """
-    rights = [f"\t{label}\t" for label in labels]
-    for a, left in enumerate(labels, start=1):
+    rights = [f"\t{label}\t" for label in labels[1:]]
+    for a, left in enumerate(labels[1:], start=1):
         yield "".join([f"{left}{right}{text}\n" for right, text in zip(rights, results(a))])
 
 
@@ -147,8 +144,7 @@ def table_rows(table: OpTable, alphabet: Alphabet | None = _DEFAULT):
     entries = table.entries
 
     def results(a):
-        # a numeral renders as its digits' renderings side by side
-        return ["".join([labels[d - 1] for d in entries[(a, b)]]) for b in range(1, k + 1)]
+        return ["".join(map(labels.__getitem__, entries[(a, b)])) for b in range(1, k + 1)]
 
     return _rows(labels, results)
 
@@ -157,27 +153,11 @@ def stream_rows(kind: str, k: int, alphabet: Alphabet | None = _DEFAULT):
     """``table_rows(build_<kind>_table(k), alphabet)`` without the table.
 
     Each row is worked out on its own, so memory holds O(k) entries, not
-    the k**2 of ``OpTable.entries``. An entry's value v is at most k**2,
-    so ``divmod(v, k)`` gives its with-zero digits [h][l], and the
-    borrow sweep is one step: [h][0] becomes [h-1][k]. That also gives
-    the row and column of the digit k, which classical tables lack
-    (j + k is [1][j], j * k is [j-1][k]).
+    the k**2 of ``OpTable.entries``.
     """
-    if kind not in _OP_SYMBOL:
-        raise ValueError(f"unknown table kind {kind!r}")
-    if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
-    op = operator.add if kind == "addition" else operator.mul
+    _check(kind, k)
     labels = _labels(k, alphabet)
-
-    def results(a):
-        for b in range(1, k + 1):
-            high, low = divmod(op(a, b), k)
-            if not low:
-                high, low = high - 1, k
-            yield labels[high - 1] + labels[low - 1] if high else labels[low - 1]
-
-    return _rows(labels, results)
+    return _rows(labels, lambda a: [labels[high] + labels[low] for high, low in _row(kind, k, a)])
 
 
 def table_entries(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> list:

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -341,6 +342,26 @@ def test_rank_file_and_stdin_agree(tmp_path, data, code, lines):
                 cli, stdin=stdin, capture_output=True, env=dict(env, PYTHONIOENCODING=encoding), timeout=60
             )
         assert (proc.returncode, proc.stdout, proc.stderr) == (first.returncode, first.stdout, first.stderr)
+
+
+def test_rank_non_ascii_byte_after_many_reads(tmp_path):
+    """8000 reads, then a Latin-1 header: every read is printed, then one line naming the byte's line."""
+    rng = random.Random(8000)
+    reads = ["".join(rng.choices("ACGT", k=150)) for _ in range(8000)]
+    data = b"".join(b">r%d\n%s\n" % (i, seq.encode()) for i, seq in enumerate(reads)) + b">caf\xe9\nACGT\n"
+    path = tmp_path / "latin.fa"
+    path.write_bytes(data)
+    expected_out = "".join(f"r{i}\t{zeroless.rank_sequence(seq)}\n" for i, seq in enumerate(reads)).encode()
+    expected_err = b"error: 'ascii' codec can't decode byte 0xe9 in position 3: line 16001, column 4: "
+    expected_err += b"FASTA text must be ASCII\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    cli = [sys.executable, "-m", "zeroless.cli", "rank"]
+    from_file = subprocess.run(cli + ["--fasta", str(path)], capture_output=True, env=env, timeout=60)
+    with open(path, "rb") as stdin:
+        from_stdin = subprocess.run(cli, stdin=stdin, capture_output=True, env=env, timeout=60)
+    for proc in (from_file, from_stdin):
+        assert (proc.returncode, proc.stderr) == (1, expected_err)
+        assert proc.stdout == expected_out
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -193,3 +193,22 @@ class TestSources:
                 list(read_fasta(source))
         # a text handle is taken as it is
         assert list(read_fasta(io.StringIO(data.decode()))) == [FastaRecord("sé", "GATT", 1)]
+
+    @pytest.mark.parametrize(
+        "data, ids, line, col",
+        [
+            (b">a\nAC\n>b\r\nGT\r\n>c\xe9\nA\n", ["a", "b"], 5, 2),  # in a header, after CRLF
+            (b">a\nAC\nG\xe9T\n>b\nA\n", [], 3, 2),  # in a record, which is then incomplete
+            (b">a\n\nAC\n>b\nG\n\xe9", ["a"], 6, 1),  # after a record read line by line
+            (b">a\nAC\n  >b\nGT\n>c\xe9", ["a", "b"], 5, 2),  # after an indented header
+            (b">a\rAC\r\xe9", [], 3, 1),  # after lone CRs
+        ],
+    )
+    def test_non_ascii_byte_names_its_line(self, monkeypatch, data, ids, line, col):
+        # the records before the byte's own come first, at every block size
+        for size in range(1, len(data) + 1):
+            monkeypatch.setattr(genome, "_CHUNK", size)
+            *records, (kind, message) = outcome(read_fasta(io.BytesIO(data)))
+            assert [rec.id for rec in records] == ids
+            assert kind is UnicodeDecodeError
+            assert message.endswith(f": line {line}, column {col}: FASTA text must be ASCII")

@@ -91,6 +91,12 @@ class TestSequenceOrder:
         assert sequence_order("T", "AA") == -1
         assert sequence_order("GATT", "CAT") == 1
 
+    def test_case_and_invalid_characters(self):
+        assert sequence_order("gatt", "GATT") == 0
+        assert sequence_order("t", "AA") == -1
+        with pytest.raises(ValueError, match="unexpected character 'N'"):
+            sequence_order("ACGT", "ANT")
+
     @given(sequences, sequences)
     def test_agrees_with_ranks(self, a, b):
         ra, rb = rank_sequence(a), rank_sequence(b)
