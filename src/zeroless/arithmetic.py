@@ -11,7 +11,9 @@ are collected in with-zero columns, summed with ordinary carries, and
 the finished intermediate is rewritten as a zeroless string at the very
 end. Cells whose digit products are inconvenient to know by heart can be
 split over a set of generator digits; the partial products then land in
-the same columns.
+the same columns. The lattice itself runs only when its trace is asked
+for: without one, the generator restriction is checked digit by digit
+and the product is taken by rank, as ``multiply`` takes it.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class _Splits:
         self.count = [0]  # fewest parts making v, None when no sum does
         self.first = [0]
 
-    def parts(self, value: int) -> list | None:
+    def _extend(self, value: int) -> None:
         count, first = self.count, self.first
         for v in range(len(count), value + 1):
             best, pick = None, 0
@@ -91,6 +93,19 @@ class _Splits:
                     best, pick = count[v - g] + 1, g
             count.append(best)
             first.append(pick)
+
+    def unmade(self, values) -> int | None:
+        """The first of values that no sum of generators makes, or None."""
+        rest = [v for v in values if v not in self.generators]
+        if not rest:
+            return None
+        self._extend(max(rest))
+        count = self.count
+        return next((v for v in rest if count[v] is None), None)
+
+    def parts(self, value: int) -> list | None:
+        self._extend(value)
+        first = self.first
         parts = []
         while value:
             g = first[value]
@@ -99,6 +114,12 @@ class _Splits:
             parts.append(g)
             value -= g
         return parts
+
+
+def _undecomposable(xd: int, yd: int, generators: tuple) -> ValueError:
+    return ValueError(
+        f"cell {xd} x {yd}: neither digit decomposes into generators {sorted(generators)}"
+    )
 
 
 def _cell_products(xd: int, yd: int, generators: tuple, splits: _Splits | None) -> tuple:
@@ -111,9 +132,7 @@ def _cell_products(xd: int, yd: int, generators: tuple, splits: _Splits | None) 
     parts = splits.parts(xd)
     if parts is not None:
         return tuple((g, yd, g * yd) for g in parts)
-    raise ValueError(
-        f"cell {xd} x {yd}: neither digit decomposes into generators {sorted(generators)}"
-    )
+    raise _undecomposable(xd, yd, generators)
 
 
 def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool = False):
@@ -128,6 +147,13 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
     right digit, or else its left one, into the fewest generators that
     sum to it, largest first. With ``trace=True`` the return value is a
     (result, LatticeTrace) pair instead of the bare result.
+
+    Without a trace the lattice is not written out: the generator
+    restriction is checked digit by digit (a cell fails when neither of
+    its digits is a sum of generators, and the first such cell in
+    row-major order is the one reported), and the product is taken by
+    rank, as ``multiply`` takes it. The result and the error are the
+    lattice's own.
     """
     _check_same_base(x, y)
     k = x.base
@@ -147,6 +173,18 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
         if trace:
             return result, LatticeTrace((), (), ZeroNumeral.zero(k))
         return result
+    if not trace:
+        if gens and gens[-1] != 1:  # sums of ones make every digit
+            # a cell fails when both its digits do, so the first failing
+            # cell pairs the first failing digit of x with that of y; the
+            # table grows to the right digits first, as the lattice's does
+            splits = _Splits(gens)
+            yd = splits.unmade(y.digits)
+            if yd is not None:
+                xd = splits.unmade(x.digits)
+                if xd is not None:
+                    raise _undecomposable(xd, yd, gens)
+        return multiply(x, y)
     m, n = len(x.digits), len(y.digits)
     splits = _Splits(gens) if gens else None
     columns = [[] for _ in range(m + n)]
@@ -157,11 +195,10 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
             for a, b, p in _cell_products(xd, yd, gens, splits):
                 columns[c].append(p % k)
                 columns[c + 1].append(p // k)
-                if trace:
-                    steps.append(
-                        f"cell ({i + 1},{j + 1}): {a}*{b} = {p}, "
-                        f"digit {p % k} in column {c + 1}, carry {p // k} to column {c + 2}"
-                    )
+                steps.append(
+                    f"cell ({i + 1},{j + 1}): {a}*{b} = {p}, "
+                    f"digit {p % k} in column {c + 1}, carry {p // k} to column {c + 2}"
+                )
     digits = []
     carry = 0
     for c, col in enumerate(columns):
@@ -169,12 +206,11 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
         previous = carry
         carry, d = divmod(total, k)
         digits.append(d)
-        if trace:
-            shown = "+".join(str(e) for e in col) if col else "0"
-            steps.append(
-                f"column {c + 1}: {shown} + carry {previous} = {total}"
-                f" -> digit {d}, carry {carry}"
-            )
+        shown = "+".join(str(e) for e in col) if col else "0"
+        steps.append(
+            f"column {c + 1}: {shown} + carry {previous} = {total}"
+            f" -> digit {d}, carry {carry}"
+        )
     while carry:
         carry, d = divmod(carry, k)
         digits.append(d)
@@ -182,8 +218,6 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
         digits.pop()
     zero_msf = digits[::-1]
     result = LexNumeral(k, tuple(_backend.zero_to_lex_digits(zero_msf, k)))
-    if not trace:
-        return result
     full_trace = LatticeTrace(
         tuple(tuple(col) for col in reversed(columns)),
         tuple(steps),

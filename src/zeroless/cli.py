@@ -38,9 +38,11 @@ def _generator_list(text: str) -> tuple:
 
 def _alphabet_for(args):
     """Resolve (base, alphabet) from --base/--alphabet and the environment."""
-    choice = args.alphabet or os.environ.get("ZEROLESS_ALPHABET")
+    choice = args.alphabet  # an empty --alphabet is an error, an empty variable unset
+    if choice is None:
+        choice = os.environ.get("ZEROLESS_ALPHABET") or None
     base = args.base
-    if choice:
+    if choice is not None:
         if choice in core.NAMED_ALPHABETS:
             alpha = core.Alphabet.named(choice, base)
             if alpha is None:  # bracket notation carries no symbols
@@ -189,44 +191,24 @@ def _add_numeral_options(sub):
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zeroless",
-        description="Zeroless positional numerals: rank, unrank, arithmetic, conversion.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _numerals(*names):
+    """Arguments of a command that reads the named numerals."""
 
-    p = sub.add_parser("encode", help="write a number as a zeroless numeral")
+    def add(p):
+        _add_numeral_options(p)
+        for name in names:
+            p.add_argument(name)
+
+    return add
+
+
+def _encode_args(p):
     _add_numeral_options(p)
     p.add_argument("value", type=_natural, help="decimal number of any size")
-    p.set_defaults(run=_cmd_encode)
 
-    p = sub.add_parser("decode", help="read a zeroless numeral back to a number")
-    _add_numeral_options(p)
-    p.add_argument("numeral")
-    p.set_defaults(run=_cmd_decode)
 
-    p = sub.add_parser("succ", help="successor of a zeroless numeral")
-    _add_numeral_options(p)
-    p.add_argument("numeral")
-    p.set_defaults(run=_cmd_succ)
-
-    p = sub.add_parser("pred", help="predecessor of a zeroless numeral")
-    _add_numeral_options(p)
-    p.add_argument("numeral")
-    p.set_defaults(run=_cmd_pred)
-
-    p = sub.add_parser("add", help="add two zeroless numerals")
-    _add_numeral_options(p)
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(run=_cmd_add)
-
-    p = sub.add_parser("mul", help="multiply two zeroless numerals")
-    _add_numeral_options(p)
-    p.add_argument("x")
-    p.add_argument("y")
+def _mul_args(p):
+    _numerals("x", "y")(p)
     p.add_argument("--lattice", action="store_true", help="use column-lattice multiplication")
     p.add_argument(
         "--generators",
@@ -239,26 +221,26 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="show lattice cells and column sums (implies --lattice)",
     )
-    p.set_defaults(run=_cmd_mul)
 
-    p = sub.add_parser("convert", help="rewrite a numeral in the other notation, same value")
+
+def _convert_args(p):
     _add_numeral_options(p)
     p.add_argument("--to", choices=("zero", "lex"), required=True, help="target notation")
     p.add_argument("numeral")
-    p.set_defaults(run=_cmd_convert)
 
-    p = sub.add_parser("table", help="print a single-digit operation table")
+
+def _table_args(p):
     _add_numeral_options(p)
     p.add_argument("op", choices=("add", "mul"))
     p.add_argument("--machine", action="store_true", help="one tab-separated a, b, result line per entry")
-    p.set_defaults(run=_cmd_table)
 
-    p = sub.add_parser("enumerate", help="list numerals in shortlex order, starting at 1")
+
+def _enumerate_args(p):
     _add_numeral_options(p)
     p.add_argument("--count", type=_natural, required=True, help="how many numerals to print")
-    p.set_defaults(run=_cmd_enumerate)
 
-    p = sub.add_parser("rank", help="rank DNA sequences from a FASTA file")
+
+def _rank_args(p):
     p.add_argument("--fasta", default="-", help="FASTA file, or - for stdin (default)")
     p.add_argument(
         "--policy",
@@ -266,19 +248,63 @@ def _build_parser() -> argparse.ArgumentParser:
         default="reject",
         help="what to do with records holding letters outside ACGT",
     )
-    p.set_defaults(run=_cmd_rank)
 
-    p = sub.add_parser("unrank", help="DNA sequence of a given rank")
+
+def _unrank_args(p):
     p.add_argument("rank", type=_natural, help="decimal rank of any size")
-    p.set_defaults(run=_cmd_unrank)
 
+
+# name: (help, arguments, run), in the order the help lists them
+_COMMANDS = {
+    "encode": ("write a number as a zeroless numeral", _encode_args, _cmd_encode),
+    "decode": ("read a zeroless numeral back to a number", _numerals("numeral"), _cmd_decode),
+    "succ": ("successor of a zeroless numeral", _numerals("numeral"), _cmd_succ),
+    "pred": ("predecessor of a zeroless numeral", _numerals("numeral"), _cmd_pred),
+    "add": ("add two zeroless numerals", _numerals("x", "y"), _cmd_add),
+    "mul": ("multiply two zeroless numerals", _mul_args, _cmd_mul),
+    "convert": ("rewrite a numeral in the other notation, same value", _convert_args, _cmd_convert),
+    "table": ("print a single-digit operation table", _table_args, _cmd_table),
+    "enumerate": ("list numerals in shortlex order, starting at 1", _enumerate_args, _cmd_enumerate),
+    "rank": ("rank DNA sequences from a FASTA file", _rank_args, _cmd_rank),
+    "unrank": ("DNA sequence of a given rank", _unrank_args, _cmd_unrank),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone.
+
+    A command line that starts with a command needs that command's
+    parser only, and argparse set-up of the others is most of the
+    parser's start-up cost.
+    """
+    parser = argparse.ArgumentParser(
+        prog="zeroless",
+        description="Zeroless positional numerals: rank, unrank, arithmetic, conversion.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the usage that a stray argument prints still names every command
+        # (the full parser keeps no metavar: its errors name "command")
+        every = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (text, add_arguments, run) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # usage text and unknown commands need the parser with every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit

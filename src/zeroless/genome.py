@@ -11,7 +11,8 @@ record that is a header line and then lines of bases only takes a few
 C-level string calls; any other text follows the per-line rules. Files
 and binary handles such as stdin's are decoded the same way: as ASCII,
 with universal newlines. A non-ASCII byte, in a header too, is an error
-that names its line, raised after the records before its own.
+that names its line, raised after the records before its own and after
+any error in the text before it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ def read_fasta(source, policy: str = "reject"):
     read as ASCII with universal newlines, as a text-mode file is: FASTA
     headers are ASCII, and a non-ASCII byte is a ``UnicodeDecodeError``
     that names its line and column, raised after the records before the
-    byte's own. A text handle is read as it is.
+    byte's own. The text before the byte is read under the rules below
+    first, so an error there is raised instead. A text handle is read as
+    it is.
 
     The source is read in blocks of ``_CHUNK`` characters and cut into
     whole records, so memory holds one block plus the largest record.
@@ -74,19 +77,18 @@ def read_fasta(source, policy: str = "reject"):
 class _BadByte(Exception):
     """A byte that is not ASCII in a FASTA source's bytes.
 
-    ``text`` is the text of the byte's part (see ``_parts``) before it.
+    ``line`` is the text of the byte's line before it, within its part
+    (see ``_parts``), so a header line's text starts after its ">".
     """
 
     def __init__(self, byte):
         self.byte = byte
-        self.text = ""
+        self.line = ""
 
     def error(self, lineno):
-        """The ``UnicodeDecodeError`` naming the byte's line and column,
-        ``lineno`` being the line where ``text`` starts."""
-        start = self.text.rfind("\n") + 1  # of the byte's line
-        line = self.text[start:].encode() + bytes([self.byte])
-        lineno += self.text.count("\n")
+        """The ``UnicodeDecodeError`` naming the byte's line, ``lineno``,
+        and its column."""
+        line = self.line.encode() + bytes([self.byte])
         col = len(line)
         reason = f"line {lineno}, column {col}: FASTA text must be ASCII"
         return UnicodeDecodeError("ascii", line, col - 1, col, reason)
@@ -116,7 +118,7 @@ def _blocks(handle):
     yield newlines.decode("", final=True)
 
 
-def _parts(blocks):
+def _parts(blocks, bad):
     """Split the text at every line that starts with ">".
 
     The first part is the text before the first such line, preceded by
@@ -125,9 +127,9 @@ def _parts(blocks):
     newline. A block is cut after its last record boundary and the rest
     carried over, so a record many blocks long is joined only once.
 
-    When the blocks end in a ``_BadByte``, the parts before the one
-    holding the byte are yielded first, and that part's text up to the
-    byte goes with the error.
+    When the blocks end in a ``_BadByte``, it goes in the list ``bad``,
+    and the text up to the byte is cut into parts as at the end: the
+    last part ends at the byte.
     """
     held = ["\n"]
     try:
@@ -141,9 +143,11 @@ def _parts(blocks):
             held = [block[cut + 2 :]]
             yield from parts
     except _BadByte as exc:
-        *parts, exc.text = "".join(held).split("\n>")
+        parts = "".join(held).split("\n>")
+        exc.line = parts[-1][parts[-1].rfind("\n") + 1 :]
+        bad.append(exc)
         yield from parts
-        raise
+        return
     yield from "".join(held).split("\n>")
 
 
@@ -153,54 +157,54 @@ def _parse_fasta(blocks, policy):
     parts = []
     drop = False
     lineno = 0  # of the part's first line
-    try:
-        for part in _parts(blocks):
-            if lineno:
-                # the common record: a header, then lines of bases only
-                head, _, body = part.partition("\n")
-                seq = body.replace("\n", "").upper()
-                if seq and seq.isascii() and not seq.encode().translate(None, _BASE_BYTES):
-                    if header is not None and not drop:
-                        yield _record(header, parts, header_line)
-                    header = None
-                    yield FastaRecord(head.strip(), seq, lineno)
-                    lineno += part.count("\n") + 1
-                    continue
-                part = ">" + part
-            # anything else goes line by line: the text before the first
-            # header, comments, "\r", spaces, headers not at the start of a
-            # line, invalid bases, empty records
-            for raw in part.split("\n"):
-                line = raw.strip()
-                if not line or line[0] == ";":
-                    pass
-                elif line[0] == ">":
-                    if header is not None and not drop:
-                        yield _record(header, parts, header_line)
-                    header = line[1:].strip()
-                    header_line = lineno
-                    parts = []
-                    drop = False
-                elif header is None:
-                    raise ValueError(f"line {lineno}: sequence data before the first '>' header")
-                elif not drop:
-                    chunk = line.upper()
-                    rest = chunk.lstrip(BASES)  # starts at the first invalid base
-                    if not rest:
-                        parts.append(chunk)
-                    elif policy == "skip":
-                        drop = True
-                    else:
-                        col = len(chunk) - len(rest) + 1
-                        raise ValueError(
-                            f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
-                        )
-                lineno += 1
-    except _BadByte as exc:
-        # the record before the bad byte's one is complete
-        if header is not None and not drop:
-            yield _record(header, parts, header_line)
-        raise exc.error(lineno) from None
+    bad = []  # the _BadByte that ends the blocks, once met
+    for part in _parts(blocks, bad):
+        if lineno:
+            # the common record: a header, then lines of bases only; the
+            # parts cut after a bad byte may end inside a record
+            head, _, body = part.partition("\n")
+            seq = body.replace("\n", "").upper()
+            if seq and seq.isascii() and not seq.encode().translate(None, _BASE_BYTES) and not bad:
+                if header is not None and not drop:
+                    yield _record(header, parts, header_line)
+                header = None
+                yield FastaRecord(head.strip(), seq, lineno)
+                lineno += part.count("\n") + 1
+                continue
+            part = ">" + part
+        # anything else goes line by line: the text before the first
+        # header, comments, "\r", spaces, headers not at the start of a
+        # line, invalid bases, empty records
+        for raw in part.split("\n"):
+            line = raw.strip()
+            if not line or line[0] == ";":
+                pass
+            elif line[0] == ">":
+                if header is not None and not drop:
+                    yield _record(header, parts, header_line)
+                header = line[1:].strip()
+                header_line = lineno
+                parts = []
+                drop = False
+            elif header is None:
+                raise ValueError(f"line {lineno}: sequence data before the first '>' header")
+            elif not drop:
+                chunk = line.upper()
+                rest = chunk.lstrip(BASES)  # starts at the first invalid base
+                if not rest:
+                    parts.append(chunk)
+                elif policy == "skip":
+                    drop = True
+                else:
+                    col = len(chunk) - len(rest) + 1
+                    raise ValueError(
+                        f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
+                    )
+            lineno += 1
+    if bad:
+        # the text before the byte passed the rules; the record open is
+        # the byte's own and is not complete
+        raise bad[0].error(lineno - 1)
     if header is not None and not drop:
         yield _record(header, parts, header_line)
 

@@ -289,6 +289,68 @@ class TestLatticeMultiply:
             with pytest.raises(ValueError, match="cell"):
                 lattice_multiply(a, b, generators=gens)
 
+    # the untraced call takes the product by rank; the traced twins below
+    # keep the lattice itself checked on the same inputs
+
+    @given(numeral_pair(min_base=2, max_len=6), st.data())
+    def test_traced_agrees_with_multiply(self, pair, data):
+        a, b = pair
+        gens = data.draw(
+            st.one_of(
+                st.none(),
+                st.sets(st.integers(1, a.base), max_size=4).map(lambda s: s | {1}),
+            )
+        )
+        assert lattice_multiply(a, b, generators=gens, trace=True)[0] == multiply(a, b)
+
+    @given(numeral_pair(min_base=2, max_base=16, max_len=5), st.data())
+    def test_traced_generators_without_one(self, pair, data):
+        a, b = pair
+        gens = data.draw(st.sets(st.integers(2, a.base), min_size=1, max_size=4))
+        sums = generator_sums(gens, a.base)
+        splittable = all(
+            x in gens or y in gens or x in sums or y in sums for x in a.digits for y in b.digits
+        )
+        if splittable:
+            assert lattice_multiply(a, b, generators=gens, trace=True)[0] == multiply(a, b)
+        else:
+            with pytest.raises(ValueError, match="cell"):
+                lattice_multiply(a, b, generators=gens, trace=True)
+
+    @settings(max_examples=300)
+    @given(numeral_pair(min_base=2, max_base=16, max_len=5), st.data())
+    def test_traced_and_untraced_reject_alike(self, pair, data):
+        a, b = pair
+        gens = data.draw(st.sets(st.integers(2, a.base), min_size=1, max_size=3))
+        errors = []
+        for trace in (False, True):
+            try:
+                lattice_multiply(a, b, generators=gens, trace=trace)
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert len(errors) in (0, 2)
+        assert len(set(errors)) <= 1
+
+    @pytest.mark.parametrize(
+        "x, y, gens, cell",
+        [
+            ("3", "3", {2}, "3 x 3"),
+            ("23", "73", {2}, "3 x 7"),  # the first bad digit of each, row-major
+            ("4733", "253", {2, 4}, "7 x 5"),
+            ("[7][1]", "[7]", {5, 10}, "7 x 7"),
+        ],
+    )
+    def test_undecomposable_cell_message(self, x, y, gens, cell):
+        if x.startswith("["):
+            a, b = parse_lex(x, base=60), parse_lex(y, base=60)
+        else:
+            a, b = dx(x), dx(y)
+        message = f"cell {cell}: neither digit decomposes into generators {sorted(gens)}"
+        for trace in (False, True):
+            with pytest.raises(ValueError) as info:
+                lattice_multiply(a, b, generators=gens, trace=trace)
+            assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "x, y, gens, parts",
         [

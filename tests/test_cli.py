@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import zeroless
-from zeroless import core, tables
+from zeroless import cli, core, tables
 from zeroless.cli import main
 
 
@@ -295,6 +295,18 @@ class TestAlphabetResolution:
         code, out, _ = run(capsys, "encode", "-b", "60", "14945")
         assert (code, out) == (0, "[4][9][5]\n")
 
+    @pytest.mark.parametrize("env", [None, "ACGT"])
+    def test_empty_alphabet_flag_is_an_error(self, capsys, monkeypatch, env):
+        if env is not None:
+            monkeypatch.setenv("ZEROLESS_ALPHABET", env)
+        code, out, err = run(capsys, "decode", "-a", "", "1")
+        assert (code, out, err) == (1, "", "error: alphabet must contain at least one symbol\n")
+
+    def test_empty_environment_alphabet_is_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("ZEROLESS_ALPHABET", "")
+        code, out, _ = run(capsys, "decode", "1X")
+        assert (code, out) == (0, "20\n")
+
 
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -362,6 +374,35 @@ def test_rank_non_ascii_byte_after_many_reads(tmp_path):
     for proc in (from_file, from_stdin):
         assert (proc.returncode, proc.stderr) == (1, expected_err)
         assert proc.stdout == expected_out
+
+
+def _exit_and_output(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["--version"],
+        ["bogus"],
+        *([command, "-h"] for command in cli._COMMANDS),
+        # errors raised once one subcommand's parser ran
+        ["encode", "1", "2"],
+        ["mul", "--bogus", "1", "2"],
+        ["rank", "--version"],
+        ["unrank"],
+    ],
+)
+def test_one_subcommand_parser_prints_what_the_full_one_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert len(cli._COMMANDS) == 11
+    full = _exit_and_output(capsys, cli._build_parser().parse_args, argv)
+    assert _exit_and_output(capsys, main, argv) == full
 
 
 def test_missing_subcommand_is_usage_error(capsys):

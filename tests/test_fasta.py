@@ -212,3 +212,72 @@ class TestSources:
             assert [rec.id for rec in records] == ids
             assert kind is UnicodeDecodeError
             assert message.endswith(f": line {line}, column {col}: FASTA text must be ASCII")
+
+    @pytest.mark.parametrize(
+        "data, policy, ids, kind, message",
+        [
+            # an invalid base on a line before the byte's line
+            (b">a\nAN\nG\xe9", "reject", [], ValueError, "line 2, column 2: invalid base 'N' in record 'a'"),
+            (b">x\nAC\n>a\nAN\nG\xe9", "reject", ["x"], ValueError, "line 4, column 2: invalid base 'N' in record 'a'"),
+            # the record is dropped, and then the byte is the error
+            (b">a\nAN\nG\xe9", "skip", [], UnicodeDecodeError, "line 3, column 2: FASTA text must be ASCII"),
+            # sequence data before the first header, under both policies
+            (b"AC\n\xe9", "reject", [], ValueError, "line 1: sequence data before the first '>' header"),
+            (b"AC\n\xe9", "skip", [], ValueError, "line 1: sequence data before the first '>' header"),
+            # on the byte's own line, before the byte
+            (b">a\nAN\xe9", "reject", [], ValueError, "line 2, column 2: invalid base 'N' in record 'a'"),
+            # the header on the byte's line closes an empty record
+            (b">x\n>b\xe9", "reject", [], ValueError, "line 1: record 'x' has an empty sequence"),
+        ],
+    )
+    def test_errors_before_a_non_ascii_byte_come_first(
+        self, monkeypatch, tmp_path, data, policy, ids, kind, message
+    ):
+        path = tmp_path / "bad.fa"
+        path.write_bytes(data)
+        for size in range(1, len(data) + 1):
+            monkeypatch.setattr(genome, "_CHUNK", size)
+            for source in (path, io.BytesIO(data)):
+                *records, (raised, text) = outcome(read_fasta(source, policy))
+                assert [rec.id for rec in records] == ids
+                assert raised is kind
+                assert text.endswith(message)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fasta_texts(), st.sampled_from(["reject", "skip"]), st.integers(0, 10**6), st.integers(1, 12))
+    def test_non_ascii_byte_keeps_file_order(self, text, policy, where, chunk):
+        data = text.replace("é", "e").encode()
+        cut = where % (len(data) + 1)
+        prefix = data[:cut].decode().replace("\r\n", "\n").replace("\r", "\n")
+        # the reference over the text before the byte, until its text ends:
+        # the record the byte is in is not complete, so nothing after counts
+        ended = []
+
+        def lines():
+            yield from io.StringIO(prefix)
+            ended.append(True)
+
+        expected = []
+        try:
+            for rec in reference_fasta(lines(), policy):
+                if ended:
+                    break
+                expected.append(rec)
+        except ValueError as exc:
+            if not ended:
+                expected.append((ValueError, str(exc)))
+        if not expected or isinstance(expected[-1], FastaRecord):
+            last = prefix[prefix.rfind("\n") + 1 :]
+            col = len(last) if last.startswith(">") else len(last) + 1  # a header's after its ">"
+            lineno = prefix.count("\n") + 1
+            reason = f"line {lineno}, column {col}: FASTA text must be ASCII"
+            expected.append((UnicodeDecodeError, reason))
+        saved = genome._CHUNK
+        genome._CHUNK = chunk
+        try:
+            got = outcome(read_fasta(io.BytesIO(data[:cut] + b"\xe9" + data[cut:]), policy))
+        finally:
+            genome._CHUNK = saved
+        if got[-1][0] is UnicodeDecodeError:  # the reason follows the codec's own words
+            got[-1] = (UnicodeDecodeError, got[-1][1].split(": ", 1)[1])
+        assert got == expected
