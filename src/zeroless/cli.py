@@ -59,10 +59,6 @@ def _alphabet_for(args):
     return base, core.default_alphabet(base)
 
 
-def _parse(text, base, alpha):
-    return core.parse_lex(text, base, alpha)
-
-
 def _cmd_encode(args) -> int:
     base, alpha = _alphabet_for(args)
     print(core.format_lex(core.sigma(base, args.value), alpha))
@@ -71,25 +67,25 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     base, alpha = _alphabet_for(args)
-    print(core.omega(_parse(args.numeral, base, alpha)))
+    print(core.omega(core.parse_lex(args.numeral, base, alpha)))
     return 0
 
 
 def _cmd_succ(args) -> int:
     base, alpha = _alphabet_for(args)
-    print(core.format_lex(core.successor(_parse(args.numeral, base, alpha)), alpha))
+    print(core.format_lex(core.successor(core.parse_lex(args.numeral, base, alpha)), alpha))
     return 0
 
 
 def _cmd_pred(args) -> int:
     base, alpha = _alphabet_for(args)
-    print(core.format_lex(core.predecessor(_parse(args.numeral, base, alpha)), alpha))
+    print(core.format_lex(core.predecessor(core.parse_lex(args.numeral, base, alpha)), alpha))
     return 0
 
 
 def _cmd_add(args) -> int:
     base, alpha = _alphabet_for(args)
-    total = arithmetic.add(_parse(args.x, base, alpha), _parse(args.y, base, alpha))
+    total = arithmetic.add(core.parse_lex(args.x, base, alpha), core.parse_lex(args.y, base, alpha))
     print(core.format_lex(total, alpha))
     return 0
 
@@ -102,14 +98,13 @@ def _print_trace(trace):
 
 def _cmd_mul(args) -> int:
     base, alpha = _alphabet_for(args)
-    x = _parse(args.x, base, alpha)
-    y = _parse(args.y, base, alpha)
-    if args.lattice or args.generators is not None or args.trace:
-        if args.trace:
-            product, trace = arithmetic.lattice_multiply(x, y, args.generators, trace=True)
-            _print_trace(trace)
-        else:
-            product = arithmetic.lattice_multiply(x, y, args.generators)
+    x = core.parse_lex(args.x, base, alpha)
+    y = core.parse_lex(args.y, base, alpha)
+    if args.trace:
+        product, trace = arithmetic.lattice_multiply(x, y, args.generators, trace=True)
+        _print_trace(trace)
+    elif args.lattice or args.generators is not None:
+        product = arithmetic.lattice_multiply(x, y, args.generators)
     else:
         product = arithmetic.multiply(x, y)
     print(core.format_lex(product, alpha))
@@ -119,7 +114,7 @@ def _cmd_mul(args) -> int:
 def _cmd_convert(args) -> int:
     base, alpha = _alphabet_for(args)
     if args.to == "zero":
-        z = conversion.theta_lex_to_zero(_parse(args.numeral, base, alpha))
+        z = conversion.theta_lex_to_zero(core.parse_lex(args.numeral, base, alpha))
         print(core.format_zero(z))
     else:
         z = core.parse_zero(args.numeral, base)

@@ -10,9 +10,10 @@ whole records, so memory holds one block plus the largest record. A
 record that is a header line and then lines of bases only takes a few
 C-level string calls; any other text follows the per-line rules. Files
 and binary handles such as stdin's are decoded the same way: as ASCII,
-with universal newlines. A non-ASCII byte, in a header too, is an error
-that names its line, raised after the records before its own and after
-any error in the text before it.
+with universal newlines, and a non-ASCII byte escaped (PEP 383). An
+escaped byte, in a header too, is one more per-line rule: an error that
+names its line and column, raised after the records before its own and
+after any error in the text before it.
 """
 
 from __future__ import annotations
@@ -52,10 +53,13 @@ def read_fasta(source, policy: str = "reject"):
     A path (``str``, ``bytes`` or ``os.PathLike``) or a binary handle is
     read as ASCII with universal newlines, as a text-mode file is: FASTA
     headers are ASCII, and a non-ASCII byte is a ``UnicodeDecodeError``
-    that names its line and column, raised after the records before the
-    byte's own. The text before the byte is read under the rules below
-    first, so an error there is raised instead. A text handle is read as
-    it is.
+    that names its line and its column, counted from the start of the
+    line (">" included). The text before the byte is read under the
+    rules below first, so the records before the byte's own come first
+    and an error there is raised instead; the source is read to the end
+    of the byte's record. A text handle is read as it is: only the
+    characters that the "surrogateescape" error handler makes of bytes,
+    U+DC80 to U+DCFF, are errors there.
 
     The source is read in blocks of ``_CHUNK`` characters and cut into
     whole records, so memory holds one block plus the largest record.
@@ -74,30 +78,11 @@ def read_fasta(source, policy: str = "reject"):
         yield from _parse_fasta(_blocks(source), policy)
 
 
-class _BadByte(Exception):
-    """A byte that is not ASCII in a FASTA source's bytes.
-
-    ``line`` is the text of the byte's line before it, within its part
-    (see ``_parts``), so a header line's text starts after its ">".
-    """
-
-    def __init__(self, byte):
-        self.byte = byte
-        self.line = ""
-
-    def error(self, lineno):
-        """The ``UnicodeDecodeError`` naming the byte's line, ``lineno``,
-        and its column."""
-        line = self.line.encode() + bytes([self.byte])
-        col = len(line)
-        reason = f"line {lineno}, column {col}: FASTA text must be ASCII"
-        return UnicodeDecodeError("ascii", line, col - 1, col, reason)
-
-
 def _blocks(handle):
     """The handle's text, ``_CHUNK`` at a time; bytes are decoded as ASCII
-    with universal newlines, and a byte that is not ASCII ends them with
-    a ``_BadByte``, after the text before it."""
+    with universal newlines, a byte that is not ASCII escaped to a
+    character in U+DC80..U+DCFF (PEP 383) for the per-line rules to
+    report."""
     read = handle.read
     block = read(_CHUNK)
     if isinstance(block, str):
@@ -107,18 +92,12 @@ def _blocks(handle):
         return
     newlines = io.IncrementalNewlineDecoder(None, translate=True)
     while block:
-        try:
-            text = block.decode("ascii")
-        except UnicodeDecodeError as exc:
-            # the text before the bad byte still counts: yield it, then fail
-            yield newlines.decode(block[: exc.start].decode("ascii"), final=True)
-            raise _BadByte(block[exc.start]) from None
-        yield newlines.decode(text)
+        yield newlines.decode(block.decode("ascii", "surrogateescape"))
         block = read(_CHUNK)
     yield newlines.decode("", final=True)
 
 
-def _parts(blocks, bad):
+def _parts(blocks):
     """Split the text at every line that starts with ">".
 
     The first part is the text before the first such line, preceded by
@@ -126,29 +105,24 @@ def _parts(blocks, bad):
     without its ">", followed by the record's lines, without the final
     newline. A block is cut after its last record boundary and the rest
     carried over, so a record many blocks long is joined only once.
-
-    When the blocks end in a ``_BadByte``, it goes in the list ``bad``,
-    and the text up to the byte is cut into parts as at the end: the
-    last part ends at the byte.
     """
     held = ["\n"]
-    try:
-        for block in blocks:
-            cut = block.rfind("\n>")
-            if cut < 0:
-                held.append(block)
-                continue
-            held.append(block[:cut])
-            parts = "".join(held).split("\n>")
-            held = [block[cut + 2 :]]
-            yield from parts
-    except _BadByte as exc:
+    for block in blocks:
+        cut = block.rfind("\n>")
+        if cut < 0:
+            held.append(block)
+            continue
+        held.append(block[:cut])
         parts = "".join(held).split("\n>")
-        exc.line = parts[-1][parts[-1].rfind("\n") + 1 :]
-        bad.append(exc)
+        held = [block[cut + 2 :]]
         yield from parts
-        return
     yield from "".join(held).split("\n>")
+
+
+def _escaped(line):
+    """The column of the first byte that ``_blocks`` escaped in ``line``,
+    or 0."""
+    return next((col for col, c in enumerate(line, 1) if "\udc80" <= c <= "\udcff"), 0)
 
 
 def _parse_fasta(blocks, policy):
@@ -157,14 +131,12 @@ def _parse_fasta(blocks, policy):
     parts = []
     drop = False
     lineno = 0  # of the part's first line
-    bad = []  # the _BadByte that ends the blocks, once met
-    for part in _parts(blocks, bad):
+    for part in _parts(blocks):
         if lineno:
-            # the common record: a header, then lines of bases only; the
-            # parts cut after a bad byte may end inside a record
+            # the common record: a header, then lines of bases only
             head, _, body = part.partition("\n")
             seq = body.replace("\n", "").upper()
-            if seq and seq.isascii() and not seq.encode().translate(None, _BASE_BYTES) and not bad:
+            if seq and part.isascii() and not seq.encode().translate(None, _BASE_BYTES):
                 if header is not None and not drop:
                     yield _record(header, parts, header_line)
                 header = None
@@ -174,9 +146,12 @@ def _parse_fasta(blocks, policy):
             part = ">" + part
         # anything else goes line by line: the text before the first
         # header, comments, "\r", spaces, headers not at the start of a
-        # line, invalid bases, empty records
+        # line, invalid bases, empty records, bytes that are not ASCII
         for raw in part.split("\n"):
-            line = raw.strip()
+            # the column of a byte that is not ASCII, if any; the text
+            # before it goes under the rules first
+            bad = 0 if raw.isascii() else _escaped(raw)
+            line = (raw[: bad - 1] if bad else raw).strip()
             if not line or line[0] == ";":
                 pass
             elif line[0] == ">":
@@ -200,11 +175,11 @@ def _parse_fasta(blocks, policy):
                     raise ValueError(
                         f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
                     )
+            if bad:
+                data = raw[:bad].encode("utf-8", "surrogateescape")
+                reason = f"line {lineno}, column {bad}: FASTA text must be ASCII"
+                raise UnicodeDecodeError("ascii", data, len(data) - 1, len(data), reason)
             lineno += 1
-    if bad:
-        # the text before the byte passed the rules; the record open is
-        # the byte's own and is not complete
-        raise bad[0].error(lineno - 1)
     if header is not None and not drop:
         yield _record(header, parts, header_line)
 

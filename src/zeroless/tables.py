@@ -95,15 +95,10 @@ def render_table(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> str:
     Digits show in ``alphabet``, as bracket ciphers when it is None, and
     in the base's default symbols when it is left out.
     """
-    if alphabet is _DEFAULT:
-        alphabet = default_alphabet(table.base)
     k = table.base
-
-    def cell(digits):
-        return format_lex(LexNumeral(k, tuple(digits)), alphabet)
-
-    labels = [cell((d,)) for d in range(1, k + 1)]
-    grid = [[cell(table.entries[(a, b)]) for b in range(1, k + 1)] for a in range(1, k + 1)]
+    rendered = _labels(k, alphabet)
+    labels = rendered[1:]
+    grid = [_texts(table, rendered, a) for a in range(1, k + 1)]
     widths = [max(len(labels[j]), max(len(row[j]) for row in grid)) for j in range(k)]
     head_w = max(len(table.symbol), max(len(s) for s in labels))
     lines = []
@@ -122,11 +117,17 @@ def _labels(k, alphabet):
     return ["", *(format_lex(LexNumeral(k, (d,)), alphabet) for d in range(1, k + 1))]
 
 
+def _texts(table, labels, a):
+    """The renderings of the results in row ``a``; a numeral renders as
+    its digits' renderings side by side."""
+    entries = table.entries
+    return ["".join(map(labels.__getitem__, entries[(a, b)])) for b in range(1, table.base + 1)]
+
+
 def _rows(labels, results):
     """Lines "a<TAB>b<TAB>result", one row digit's k lines per item.
 
-    ``results(a)`` gives the texts of the results in row ``a``; a
-    numeral renders as its digits' renderings side by side.
+    ``results(a)`` gives the texts of the results in row ``a``.
     """
     rights = [f"\t{label}\t" for label in labels[1:]]
     for a, left in enumerate(labels[1:], start=1):
@@ -139,14 +140,8 @@ def table_rows(table: OpTable, alphabet: Alphabet | None = _DEFAULT):
     Each item is the k lines of one row digit, every line ending in a
     newline. ``alphabet`` is read as in ``render_table``.
     """
-    k = table.base
-    labels = _labels(k, alphabet)
-    entries = table.entries
-
-    def results(a):
-        return ["".join(map(labels.__getitem__, entries[(a, b)])) for b in range(1, k + 1)]
-
-    return _rows(labels, results)
+    labels = _labels(table.base, alphabet)
+    return _rows(labels, lambda a: _texts(table, labels, a))
 
 
 def stream_rows(kind: str, k: int, alphabet: Alphabet | None = _DEFAULT):

@@ -364,7 +364,7 @@ def test_rank_non_ascii_byte_after_many_reads(tmp_path):
     path = tmp_path / "latin.fa"
     path.write_bytes(data)
     expected_out = "".join(f"r{i}\t{zeroless.rank_sequence(seq)}\n" for i, seq in enumerate(reads)).encode()
-    expected_err = b"error: 'ascii' codec can't decode byte 0xe9 in position 3: line 16001, column 4: "
+    expected_err = b"error: 'ascii' codec can't decode byte 0xe9 in position 4: line 16001, column 5: "
     expected_err += b"FASTA text must be ASCII\n"
     env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
     cli = [sys.executable, "-m", "zeroless.cli", "rank"]

@@ -197,21 +197,25 @@ class TestSources:
     @pytest.mark.parametrize(
         "data, ids, line, col",
         [
-            (b">a\nAC\n>b\r\nGT\r\n>c\xe9\nA\n", ["a", "b"], 5, 2),  # in a header, after CRLF
+            (b">a\nAC\n>b\r\nGT\r\n>c\xe9\nA\n", ["a", "b"], 5, 3),  # in a header, after CRLF
             (b">a\nAC\nG\xe9T\n>b\nA\n", [], 3, 2),  # in a record, which is then incomplete
             (b">a\n\nAC\n>b\nG\n\xe9", ["a"], 6, 1),  # after a record read line by line
-            (b">a\nAC\n  >b\nGT\n>c\xe9", ["a", "b"], 5, 2),  # after an indented header
+            (b">a\nAC\n  >b\nGT\n>c\xe9", ["a", "b"], 5, 3),  # after an indented header
             (b">a\rAC\r\xe9", [], 3, 1),  # after lone CRs
+            (b">a\nAC\n>c\xe9\nA\n", ["a"], 3, 3),  # in a header, no id made of it
         ],
     )
     def test_non_ascii_byte_names_its_line(self, monkeypatch, data, ids, line, col):
-        # the records before the byte's own come first, at every block size
+        # the records before the byte's own come first, at every block size;
+        # a text handle that escapes the byte (PEP 383) reads as the bytes do
         for size in range(1, len(data) + 1):
             monkeypatch.setattr(genome, "_CHUNK", size)
-            *records, (kind, message) = outcome(read_fasta(io.BytesIO(data)))
-            assert [rec.id for rec in records] == ids
-            assert kind is UnicodeDecodeError
-            assert message.endswith(f": line {line}, column {col}: FASTA text must be ASCII")
+            escaped = io.TextIOWrapper(io.BytesIO(data), "ascii", "surrogateescape")
+            for source in (io.BytesIO(data), escaped):
+                *records, (kind, message) = outcome(read_fasta(source))
+                assert [rec.id for rec in records] == ids
+                assert kind is UnicodeDecodeError
+                assert message.endswith(f": line {line}, column {col}: FASTA text must be ASCII")
 
     @pytest.mark.parametrize(
         "data, policy, ids, kind, message",
@@ -228,6 +232,16 @@ class TestSources:
             (b">a\nAN\xe9", "reject", [], ValueError, "line 2, column 2: invalid base 'N' in record 'a'"),
             # the header on the byte's line closes an empty record
             (b">x\n>b\xe9", "reject", [], ValueError, "line 1: record 'x' has an empty sequence"),
+            # an invalid base after the byte on its line comes after it
+            (b">a\nA\xe9N\n", "reject", [], UnicodeDecodeError, "line 2, column 2: FASTA text must be ASCII"),
+            # a UTF-8 character is named by its first byte
+            (
+                ">a\nAé\n".encode(),
+                "reject",
+                [],
+                UnicodeDecodeError,
+                "byte 0xc3 in position 1: line 2, column 2: FASTA text must be ASCII",
+            ),
         ],
     )
     def test_errors_before_a_non_ascii_byte_come_first(
@@ -268,7 +282,7 @@ class TestSources:
                 expected.append((ValueError, str(exc)))
         if not expected or isinstance(expected[-1], FastaRecord):
             last = prefix[prefix.rfind("\n") + 1 :]
-            col = len(last) if last.startswith(">") else len(last) + 1  # a header's after its ">"
+            col = len(last) + 1
             lineno = prefix.count("\n") + 1
             reason = f"line {lineno}, column {col}: FASTA text must be ASCII"
             expected.append((UnicodeDecodeError, reason))
