@@ -25,7 +25,7 @@ from zeroless.core import LexNumeral, ZeroNumeral, _check_same_base, _Frozen, _s
 def add(a: LexNumeral, b: LexNumeral) -> LexNumeral:
     """Sum of two zeroless numerals, computed digit-wise."""
     _check_same_base(a, b)
-    return LexNumeral(a.base, tuple(_backend.add_digits(a.digits, b.digits, a.base)))
+    return LexNumeral(a.base, _backend.add_digits(a.digits, b.digits, a.base))
 
 
 def scale(a: LexNumeral, d: int) -> LexNumeral:
@@ -34,12 +34,12 @@ def scale(a: LexNumeral, d: int) -> LexNumeral:
         raise ValueError(f"digit {d} out of range [1, {a.base}]")
     if a.is_zero:
         return a
-    return LexNumeral(a.base, tuple(_backend.scale_digits(a.digits, d, a.base)))
+    return LexNumeral(a.base, _backend.scale_digits(a.digits, d, a.base))
 
 
 def multiply_by_base(a: LexNumeral) -> LexNumeral:
     """One-position shift: predecessor digits with the base digit appended."""
-    return LexNumeral(a.base, tuple(_backend.multiply_by_base_digits(a.digits, a.base)))
+    return LexNumeral(a.base, _backend.multiply_by_base_digits(a.digits, a.base))
 
 
 def multiply(a: LexNumeral, b: LexNumeral) -> LexNumeral:
@@ -217,10 +217,10 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
     while len(digits) > 1 and digits[-1] == 0:
         digits.pop()
     zero_msf = digits[::-1]
-    result = LexNumeral(k, tuple(_backend.zero_to_lex_digits(zero_msf, k)))
+    result = LexNumeral(k, _backend.zero_to_lex_digits(zero_msf, k))
     full_trace = LatticeTrace(
         tuple(tuple(col) for col in reversed(columns)),
         tuple(steps),
-        ZeroNumeral(k, tuple(zero_msf)),
+        ZeroNumeral(k, zero_msf),
     )
     return result, full_trace

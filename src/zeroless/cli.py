@@ -18,13 +18,12 @@ _BATCH = 1024  # enumerate and rank write this many lines at a time
 
 
 def _natural(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal number") from None
-    if value < 0:
+    """A number written in ASCII digits alone: no sign, space or "_"."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+    raise argparse.ArgumentTypeError(f"{text!r} is not a decimal number")
 
 
 def _generator_list(text: str) -> tuple:

@@ -26,16 +26,16 @@ def delta(k: int, n: int) -> ZeroNumeral:
         raise ValueError(f"with-zero base must be >= 2, got {k}")
     if n == 0:
         return ZeroNumeral.zero(k)
-    return ZeroNumeral(k, tuple(radix.split(n, k, radix.ilog(k, n) + 1)))
+    return ZeroNumeral(k, radix.split(n, k, radix.ilog(k, n) + 1))
 
 
 def theta_lex_to_zero(a: LexNumeral) -> ZeroNumeral:
     """With-zero numeral of the same value as a zeroless numeral."""
     if a.base < 2:
         raise ValueError("with-zero notation needs a base >= 2")
-    return ZeroNumeral(a.base, tuple(_backend.lex_to_zero_digits(a.digits, a.base)))
+    return ZeroNumeral(a.base, _backend.lex_to_zero_digits(a.digits, a.base))
 
 
 def theta_zero_to_lex(z: ZeroNumeral) -> LexNumeral:
     """Zeroless numeral of the same value as a with-zero numeral."""
-    return LexNumeral(z.base, tuple(_backend.zero_to_lex_digits(z.digits, z.base)))
+    return LexNumeral(z.base, _backend.zero_to_lex_digits(z.digits, z.base))

@@ -9,11 +9,13 @@ numeral types, the rank map ``omega`` (string -> position), its inverse
 and formatting for both the zeroless and the classical with-zero kinds.
 
 Ranks are plain Python ints, so genome-sized values need no special
-handling.
+handling. In base 10 ``omega`` and ``sigma`` go through CPython's
+``int()`` and ``str()``.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from zeroless import _backend, radix
@@ -24,6 +26,17 @@ _ACGT = "ACGT"
 # sigma peels digits one by one below this rank size; measured on CPython
 # 3.11 the divide-and-conquer split only pays from 400-600 bits on
 _PEEL_BITS = 256
+# in base 10, str() overtakes the peel from 4-5 digits on CPython 3.10-3.13
+_PEEL10_BITS = 16
+# zeroless decimal digits 1..10 to the ASCII digits of one less, and back
+_LEX10_TO_ASCII = bytes.maketrans(bytes(range(1, 11)), b"0123456789")
+_ASCII_TO_LEX10 = bytes.maketrans(b"0123456789", bytes(range(1, 11)))
+# up to this length omega's Horner loop beats its int() route (they
+# cross at 14-16 digits on CPython 3.10-3.13)
+_HORNER_DIGITS = 15
+_SET_BASES = 256  # largest base whose digit set is cached
+_LEX_TESTS = {}  # base: digit test of LexNumeral
+_ZERO_TESTS = {}  # base: digit test of ZeroNumeral
 
 #: Names accepted wherever an alphabet can be passed by name.
 NAMED_ALPHABETS = ("acgt", "decimal-x", "bracket")
@@ -73,6 +86,27 @@ class _Frozen:
 
     def __reduce__(self):
         return self.__class__, self._fields(self)
+
+
+def _digit_test(tests, base, low):
+    """Test that each digit of a tuple is in [low, base + low - 1].
+
+    Up to _SET_BASES it is a frozenset's ``issuperset``, cached in
+    ``tests``: each digit must equal a valid one. Above, it takes min and
+    max of the digits as ints, so a digit that is no int fails.
+    """
+    high = base + low - 1
+    if base <= _SET_BASES:
+        tests[base] = frozenset(range(low, high + 1)).issuperset
+        return tests[base]
+
+    def ordered(digits):
+        try:
+            return low <= min(map(operator.index, digits)) and max(digits) <= high
+        except TypeError:
+            return False
+
+    return ordered
 
 
 class Alphabet(_Frozen):
@@ -144,13 +178,16 @@ def default_alphabet(base: int) -> Alphabet | None:
 
 
 class LexNumeral(_Frozen):
-    """Zeroless digit string, most significant first; empty means zero."""
+    """Zeroless digit string, most significant first; empty means zero.
+
+    Any iterable of digits is kept as a tuple.
+    """
 
     __slots__ = ("base", "digits")
 
     def __init__(self, base: int, digits: tuple[int, ...]):
         _set(self, "base", base)
-        _set(self, "digits", digits)
+        _set(self, "digits", tuple(digits))
         self.__post_init__()  # a class attribute, so wrappers see every construction
 
     # written out rather than inherited: numerals are compared and hashed
@@ -164,10 +201,11 @@ class LexNumeral(_Frozen):
         return hash((self.base, self.digits))
 
     def __post_init__(self):
-        if self.base < 1:
-            raise ValueError(f"base must be >= 1, got {self.base}")
-        if self.digits and not (1 <= min(self.digits) and max(self.digits) <= self.base):
-            raise ValueError(f"digits {self.digits} not all in [1, {self.base}]")
+        base, digits = self.base, self.digits
+        if base < 1:
+            raise ValueError(f"base must be >= 1, got {base}")
+        if digits and not (_LEX_TESTS.get(base) or _digit_test(_LEX_TESTS, base, 1))(digits):
+            raise ValueError(f"digits {digits} not all in [1, {base}]")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -185,23 +223,27 @@ class LexNumeral(_Frozen):
 
 
 class ZeroNumeral(_Frozen):
-    """Classical with-zero digit string in canonical form (no leading zero)."""
+    """Classical with-zero digit string in canonical form (no leading zero).
+
+    Any iterable of digits is kept as a tuple.
+    """
 
     __slots__ = ("base", "digits")
 
     def __init__(self, base: int, digits: tuple[int, ...]):
         _set(self, "base", base)
-        _set(self, "digits", digits)
+        _set(self, "digits", tuple(digits))
         self.__post_init__()
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"with-zero base must be >= 2, got {self.base}")
-        if not self.digits:
+        base, digits = self.base, self.digits
+        if base < 2:
+            raise ValueError(f"with-zero base must be >= 2, got {base}")
+        if not digits:
             raise ValueError("with-zero numeral needs at least one digit; zero is (0,)")
-        if not (0 <= min(self.digits) and max(self.digits) < self.base):
-            raise ValueError(f"digits {self.digits} not all in [0, {self.base - 1}]")
-        if len(self.digits) > 1 and self.digits[0] == 0:
+        if not (_ZERO_TESTS.get(base) or _digit_test(_ZERO_TESTS, base, 0))(digits):
+            raise ValueError(f"digits {digits} not all in [0, {base - 1}]")
+        if len(digits) > 1 and digits[0] == 0:
             raise ValueError("leading zero: with-zero numerals are canonical")
 
     def __len__(self) -> int:
@@ -235,10 +277,18 @@ def shortlex_compare(a: LexNumeral, b: LexNumeral) -> int:
 
 
 def omega(a: LexNumeral) -> int:
-    """Shortlex rank of a numeral; the empty numeral ranks 0."""
-    if a.base == 1:
-        return len(a.digits)  # unary: every digit is 1
-    return _backend.horner_value(a.digits, a.base)
+    """Shortlex rank of a numeral; the empty numeral ranks 0.
+
+    In base 10 the digits less one are the decimal text of the rank less
+    minlex(10, h), which ``int()`` reads for _HORNER_DIGITS < h <=
+    ``radix.decimal_limit()``.
+    """
+    k, digits = a.base, a.digits
+    if k == 1:
+        return len(digits)  # unary: every digit is 1
+    if k == 10 and _HORNER_DIGITS < len(digits) <= radix.decimal_limit():
+        return int(bytes(digits).translate(_LEX10_TO_ASCII)) + (10 ** len(digits) - 1) // 9
+    return _backend.horner_value(digits, k)
 
 
 def omega_recursive(x: int, a: LexNumeral) -> int:
@@ -301,10 +351,11 @@ def sigma(k: int, n: int) -> LexNumeral:
 
     The numerals of length h are the ranks minlex(k, h) onward in
     lexicographic order, so the offset n - minlex(k, h) written as h
-    with-zero digits, each raised by one, is the numeral; the radix
-    module splits it divide-and-conquer. Ranks of at most _PEEL_BITS
-    bits peel one digit per step instead, which costs less than working
-    out h and minlex.
+    with-zero digits, each raised by one, is the numeral. ``str()``
+    writes it in base 10 for h <= ``radix.decimal_limit()``; else the
+    radix module splits it divide-and-conquer. Ranks of at most
+    _PEEL_BITS bits (_PEEL10_BITS in base 10) peel one digit per step
+    instead, which costs less than working out h and minlex.
     """
     if k < 1:
         raise ValueError(f"base must be >= 1, got {k}")
@@ -316,17 +367,26 @@ def sigma(k: int, n: int) -> LexNumeral:
         return LexNumeral(k, ())
     if n <= k:
         return LexNumeral(k, (n,))
-    if n.bit_length() <= _PEEL_BITS:
+    bits = n.bit_length()
+    if bits <= (_PEEL10_BITS if k == 10 else _PEEL_BITS):
         # n - 1 = q*k + r: the last digit is r + 1 and q ranks the rest
         digits = []
         while n:
             n, r = divmod(n - 1, k)
             digits.append(r + 1)
         digits.reverse()
-        return LexNumeral(k, tuple(digits))
-    h = radix.lex_length(k, n)
-    digits = [d + 1 for d in radix.split(n - minlex(k, h), k, h)]
-    return LexNumeral(k, tuple(digits))
+        return LexNumeral(k, digits)
+    if k == 10:
+        # 9n + 1 is in [10**h, 10**(h+1)); an n of at most _PEEL_BITS bits
+        # has at most 78 digits, below any int/str limit
+        small = bits <= _PEEL_BITS
+        h = len(str(9 * n + 1)) - 1 if small else radix.lex_length(10, n)
+        if small or h <= radix.decimal_limit():
+            text = str(n - (10**h - 1) // 9).zfill(h)
+            return LexNumeral(10, text.encode().translate(_ASCII_TO_LEX10))
+    else:
+        h = radix.lex_length(k, n)
+    return LexNumeral(k, [d + 1 for d in radix.split(n - minlex(k, h), k, h)])
 
 
 def sigma_oracle(k: int, n: int) -> LexNumeral:
@@ -348,17 +408,23 @@ def sigma_oracle(k: int, n: int) -> LexNumeral:
         digits.append(d)
         n = (n - d) // k
     digits.reverse()
-    return LexNumeral(k, tuple(digits))
+    return LexNumeral(k, digits)
 
 
 def successor(a: LexNumeral) -> LexNumeral:
     """Numeral of rank omega(a) + 1."""
-    return LexNumeral(a.base, tuple(_backend.successor_digits(a.digits, a.base)))
+    k, d = a.base, a.digits
+    if d and d[-1] < k:  # no carry: only the last digit changes
+        return LexNumeral(k, d[:-1] + (d[-1] + 1,))
+    return LexNumeral(k, _backend.successor_digits(d, k))
 
 
 def predecessor(a: LexNumeral) -> LexNumeral:
     """Numeral of rank omega(a) - 1; zero has no predecessor."""
-    return LexNumeral(a.base, tuple(_backend.predecessor_digits(a.digits, a.base)))
+    k, d = a.base, a.digits
+    if d and d[-1] > 1:  # no borrow: only the last digit changes
+        return LexNumeral(k, d[:-1] + (d[-1] - 1,))
+    return LexNumeral(k, _backend.predecessor_digits(d, k))
 
 
 # --- text grammar -----------------------------------------------------------
@@ -406,19 +472,25 @@ def _parse_ciphers(text, base, alphabet, low):
         raise ValueError(
             f"cannot read {text!r}: no alphabet given, so only bracket ciphers are understood"
         )
-    index = {s: i + low for i, s in enumerate(alphabet)}
-    values = []
-    for pos, ch in enumerate(text):
+    index = _symbol_values(alphabet, low)
+    try:
+        return list(map(index.__getitem__, text))
+    except KeyError:
+        pass
+    for pos, ch in enumerate(text):  # find the first bad character
         if ch == "[":
             raise ValueError(
                 f"unexpected character '[' at position {pos}: "
                 "bracket and symbol ciphers cannot be mixed"
             )
-        try:
-            values.append(index[ch])
-        except KeyError:
-            raise ValueError(f"unknown symbol {ch!r} at position {pos}") from None
-    return values
+        if ch not in index:
+            raise ValueError(f"unknown symbol {ch!r} at position {pos}")
+
+
+@functools.lru_cache(maxsize=64)
+def _symbol_values(symbols, low):
+    """{symbol: digit value} for symbols[i] = i + low; "[" never maps."""
+    return {s: i + low for i, s in enumerate(symbols) if s != "["}
 
 
 def parse_lex(text: str, base: int | None = None, alphabet: Alphabet | None = None) -> LexNumeral:
@@ -436,7 +508,7 @@ def parse_lex(text: str, base: int | None = None, alphabet: Alphabet | None = No
     if text == ZERO_TOKEN or text == "":
         return LexNumeral(base, ())
     symbols = alphabet.symbols if alphabet is not None else None
-    return LexNumeral(base, tuple(_parse_ciphers(text, base, symbols, 1)))
+    return LexNumeral(base, _parse_ciphers(text, base, symbols, 1))
 
 
 def format_lex(a: LexNumeral, alphabet: Alphabet | None = None) -> str:
@@ -464,7 +536,7 @@ def parse_zero(text: str, base: int | None = None, symbols: str | None = None) -
         raise ValueError("parsing needs a base or a symbol set")
     if symbols is None and base <= 10:
         symbols = _DECIMAL[:base]
-    return ZeroNumeral(base, tuple(_parse_ciphers(text, base, symbols, 0)))
+    return ZeroNumeral(base, _parse_ciphers(text, base, symbols, 0))
 
 
 def format_zero(a: ZeroNumeral, symbols: str | None = None) -> str:

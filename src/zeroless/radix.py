@@ -12,15 +12,36 @@ M(n); ``split`` divides, and before Python 3.12 CPython's long
 division of big ints is schoolbook, so there it stays quadratic in
 machine words, with a far smaller constant than one bignum divmod per
 digit.
+
+In base 10, ``split`` (and ``omega``/``sigma`` in ``core``) use
+CPython's C ``str()``/``int()`` up to ``decimal_limit()`` digits. They
+are quadratic before 3.12 too, but beat the block loops up to about
+10**4 digits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 #: Digit count at or below which the plain loops run; above it, the
 #: loops work on blocks of this many digits.
 CUTOFF = 64
+
+# CPython's default int/str limit (none before 3.10.7)
+_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_FROM_ASCII = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def decimal_limit():
+    """Most digits that base 10 converts through ``int()`` and ``str()``.
+
+    CPython's default int/str limit, 4300, or the process's limit if
+    lower, so that no conversion raises.
+    """
+    limit = _limit()
+    return limit if 0 < limit < _STR_DIGITS else _STR_DIGITS
 
 
 def value(digits, k):
@@ -55,6 +76,9 @@ def value(digits, k):
 
 def split(x, k, h):
     """The h with-zero digits of 0 <= x < k**h, most significant first."""
+    # no int/str limit is below 640 digits
+    if k == 10 and 0 < h and (h <= CUTOFF or h <= decimal_limit()):
+        return list(str(x).zfill(h).encode().translate(_FROM_ASCII))
     if h <= CUTOFF:
         out = [0] * h
         for i in range(h - 1, -1, -1):

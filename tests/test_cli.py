@@ -270,6 +270,38 @@ class TestRankUnrank:
         assert exc.value.code == 2
 
 
+class TestNaturalArguments:
+    """Numbers on the command line are ASCII digits and nothing else."""
+
+    @pytest.mark.parametrize("command", ["encode", "unrank"])
+    @pytest.mark.parametrize(
+        "text", ["1_000", " +12 ", "+12", "12 ", "\u0661\u0662", "\uff11\uff12", "\u00b2", "", "1.0", "0x10", "--5"]
+    )
+    def test_rejected(self, capsys, command, text):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, command, "--", text)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"{text!r} is not a decimal number\n")
+
+    def test_count_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "enumerate", "--count", "1_0")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("'1_0' is not a decimal number\n")
+
+    def test_negative(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "encode", "--", "-12")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("'-12' is negative\n")
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("1000", 1000), ("9" * 5000, 10**5000 - 1)])
+    def test_accepted(self, capsys, text, value):
+        code, out, _ = run(capsys, "encode", text)
+        assert (code, out) == (0, core.format_lex(core.sigma(10, value), core.default_alphabet(10)) + "\n")
+
+
 class TestAlphabetResolution:
     def test_environment_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ZEROLESS_ALPHABET", "ACGT")

@@ -102,6 +102,68 @@ class TestNumeralTypes:
         assert len(LexNumeral.zero(4)) == 0
 
 
+# digit values on either side of every range edge the check has: 0 and 1,
+# the base, the 256 of a cached set, and the big bases themselves
+EDGES = (-1, 0, 1, 2, 9, 10, 11, 59, 60, 61, 255, 256, 257, 2**31 - 1, 2**31, 2**31 + 1, 2**40, 2**40 + 1)
+
+
+class TestDigitCheck:
+    """The construction check against the plain min/max rule, on ints."""
+
+    @pytest.mark.parametrize("k", (1, 2, 10, 60, 2**31, 2**40))
+    def test_lex_accepts_what_min_max_accepts(self, k):
+        for length in (1, 2):
+            for digits in itertools.product(EDGES, repeat=length):
+                expected = 1 <= min(digits) and max(digits) <= k
+                try:
+                    LexNumeral(k, digits)
+                    accepted = True
+                except ValueError as exc:
+                    assert str(exc) == f"digits {digits} not all in [1, {k}]"
+                    accepted = False
+                assert accepted == expected, digits
+
+    @pytest.mark.parametrize("k", (2, 10, 60, 2**31, 2**40))
+    def test_zero_accepts_what_min_max_accepts(self, k):
+        for length in (1, 2):
+            for digits in itertools.product(EDGES, repeat=length):
+                in_range = 0 <= min(digits) and max(digits) < k
+                try:
+                    ZeroNumeral(k, digits)
+                    accepted = True
+                except ValueError as exc:
+                    if in_range:  # only the leading-zero rule may refuse it
+                        assert str(exc).startswith("leading zero")
+                    else:
+                        assert str(exc) == f"digits {digits} not all in [0, {k - 1}]"
+                    accepted = False
+                assert accepted == (in_range and not (length > 1 and digits[0] == 0)), digits
+
+    @pytest.mark.parametrize("k", (10, 2**31))
+    @pytest.mark.parametrize("digits", [(1.5, 2), (2, 0.5), ("1",), (None,), ((1,),)])
+    def test_non_int_digits(self, k, digits):
+        with pytest.raises(ValueError, match=r"not all in \[1, "):
+            LexNumeral(k, digits)
+        with pytest.raises(ValueError, match=r"not all in \[0, "):
+            ZeroNumeral(k, digits)
+
+    def test_non_int_digits_in_a_big_base(self):
+        # the ordered check takes only ints; a set compares by equality
+        with pytest.raises(ValueError):
+            LexNumeral(2**31, (2.0,))
+        with pytest.raises(ValueError):
+            ZeroNumeral(2**31, (1, 0.0))
+
+    def test_digits_are_kept_as_a_tuple(self):
+        a = LexNumeral(10, [1, 2])
+        assert a.digits == (1, 2) and hash(a) == hash(LexNumeral(10, (1, 2)))
+        assert ZeroNumeral(10, [1, 0]).digits == (1, 0)
+        assert LexNumeral(4, iter((4, 1))).digits == (4, 1)
+        assert LexNumeral(10, b"\x01\x0a").digits == (1, 10)
+        t = (3, 1)
+        assert LexNumeral(4, t).digits is t
+
+
 class TestShortlexCompare:
     def test_prefix_is_less(self, acgt):
         assert shortlex_compare(parse_lex("A", alphabet=acgt), parse_lex("AA", alphabet=acgt)) == -1
@@ -252,6 +314,16 @@ class TestSuccessorPredecessor:
         assert predecessor(LexNumeral(4, (1, 1))).digits == (4,)
         assert predecessor(LexNumeral(4, (1,))).digits == ()
 
+    @pytest.mark.parametrize("k", (1, 2, 10, 60))
+    def test_every_last_digit(self, k):
+        # a last digit below k (above 1) changes alone; at k (1) it carries (borrows)
+        for head in ((), (1,), (k,), (k, 1)):
+            for last in range(1, k + 1):
+                a = LexNumeral(k, head + (last,))
+                n = omega(a)
+                assert successor(a) == sigma(k, n + 1)
+                assert predecessor(a) == sigma(k, n - 1)
+
     @given(base_and_rank(max_rank=10**24))
     def test_inverse_and_unit_steps(self, kn):
         k, n = kn
@@ -300,6 +372,31 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_lex("12", base=60)  # symbols need an alphabet
         parse_lex("[2][3]", base=60)  # brackets need only the base
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("CAN", "unknown symbol 'N' at position 2"),
+            ("NAC", "unknown symbol 'N' at position 0"),
+            ("CA[1]", "unexpected character '[' at position 2: bracket and symbol ciphers cannot be mixed"),
+            ("C[N", "unexpected character '[' at position 1: bracket and symbol ciphers cannot be mixed"),
+            ("CN[", "unknown symbol 'N' at position 1"),
+        ],
+    )
+    def test_symbol_error_messages(self, acgt, text, message):
+        for _ in range(2):  # the second parse finds the symbol map cached
+            with pytest.raises(ValueError) as exc:
+                parse_lex(text, alphabet=acgt)
+            assert str(exc.value) == message
+
+    def test_symbol_maps_are_kept_apart(self):
+        # one symbol sequence, read as zeroless and as with-zero digits
+        assert parse_lex("BA", alphabet=Alphabet.from_string("ABCD")).digits == (2, 1)
+        assert parse_zero("BA", symbols="ABCD").digits == (1, 0)
+        assert parse_lex("BA", alphabet=Alphabet.from_string("BA")).digits == (1, 2)
+        # "[" is never a symbol, even in a with-zero symbol set
+        with pytest.raises(ValueError, match="cannot be mixed"):
+            parse_zero("1[", symbols="0[1")
 
     def test_format_needs_matching_alphabet(self, acgt):
         with pytest.raises(ValueError):

@@ -6,12 +6,26 @@ runs. References are the left-to-right Horner loop and ``sigma_oracle``
 (last digit peeled per step), neither of which goes through ``radix``.
 """
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroless import LexNumeral, delta, maxlex, minlex, omega, radix, sigma
-from zeroless.core import _PEEL_BITS, sigma_oracle
+from zeroless import (
+    LexNumeral,
+    ZeroNumeral,
+    delta,
+    maxlex,
+    minlex,
+    omega,
+    radix,
+    sigma,
+    theta_lex_to_zero,
+    theta_zero_to_lex,
+)
+from zeroless.core import _PEEL10_BITS, _PEEL_BITS, sigma_oracle
 
 C = radix.CUTOFF
 LENGTHS = (C - 1, C, C + 1, 2 * C, 2 * C + 1, 1000, 5000)
@@ -100,6 +114,11 @@ class TestLongNumerals:
         for n in (edge - 2, edge - 1, edge, edge + 1, edge * k):
             assert sigma(k, n) == sigma_oracle(k, n)
 
+    def test_either_side_of_decimal_peeling(self):
+        edge = 1 << _PEEL10_BITS  # base 10 peels below this size, writes str() above
+        for n in (edge - 2, edge - 1, edge, edge + 1, edge * 10):
+            assert sigma(10, n) == sigma_oracle(10, n)
+
     @given(st.sampled_from(BASES), st.sampled_from(LENGTHS), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_random_numerals(self, k, h, rnd):
@@ -114,3 +133,56 @@ class TestLongNumerals:
     def test_delta(self, k, h):
         for n in (k ** (h - 1), k**h - 1, minlex(k, h) * 7 + 1):
             assert list(delta(k, n).digits) == plain_digits(n, k)
+
+
+class TestDecimalRoute:
+    """Base 10 through int()/str(), up to radix.decimal_limit() digits.
+
+    Numerals of up to the limit take the decimal route, longer ones the
+    block loops; the lengths sit on both sides of omega's Horner cut
+    (_HORNER_DIGITS), CUTOFF, the lowest limit CPython allows (640) and
+    its default (4300).
+    """
+
+    LENGTHS = (1, 2, 15, 16, 63, 64, 65, 639, 640, 641, 4299, 4300, 4301, 6000)
+
+    @pytest.fixture
+    def int_limit(self):
+        """Sets CPython's int/str digit limit; the test run's is put back after."""
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("h", LENGTHS)
+    def test_agrees_with_oracles_under_a_limit(self, h, int_limit):
+        rnd = random.Random(h)
+        digits = tuple(rnd.randint(1, 10) for _ in range(h))
+        n = horner(digits, 10)
+        offset = [d - 1 for d in digits]
+        zero = plain_digits(n, 10)
+        assert sigma_oracle(10, n).digits == digits
+        for limit in (640, 4300, 0):
+            int_limit(limit)
+            assert radix.decimal_limit() == (limit or 4300)
+            a = sigma(10, n)
+            assert a.digits == digits
+            assert omega(a) == n == radix.value(digits, 10)
+            assert radix.split(n - minlex(10, h), 10, h) == offset
+            z = delta(10, n)
+            assert list(z.digits) == zero
+            assert theta_lex_to_zero(a) == z
+            assert theta_zero_to_lex(z) == a
+            for m in (minlex(10, h), maxlex(10, h)):
+                assert omega(sigma(10, m)) == m
+
+    @given(st.integers(1, 5000), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_random_lengths_match_the_radix_loops(self, h, rnd):
+        digits = tuple(rnd.randint(1, 10) for _ in range(h))
+        n = radix.value(digits, 10)  # the Horner and block loops, no int()
+        assert omega(LexNumeral(10, digits)) == n
+        assert sigma(10, n).digits == digits
+        offset = n - minlex(10, h)
+        assert radix.split(offset, 10, h) == [d - 1 for d in digits]
+        assert radix.value(radix.split(offset, 10, h), 10) == offset
+        assert delta(10, n) == ZeroNumeral(10, map(int, str(n)))
