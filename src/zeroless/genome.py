@@ -3,11 +3,16 @@
 A sequence over A, C, G, T is read as a digit string with A=1, C=2,
 G=3, T=4; the empty sequence is zero. Rank and unrank are then the
 shortlex maps in base 4, and comparing sequences shortlex (length
-first, then alphabetically) is exactly comparing their ranks.
+first, then alphabetically) is exactly comparing their ranks. Both
+directions are linear C-level passes: rank reads the bases as 0123 with
+``int(text, 4)``; unrank writes the offset in hex, widens each hex digit
+to two base-4 digits with a ``bytes.translate`` and a second ``hex()``,
+and maps 0123 to ACGT with one more translate.
 
 ``read_fasta`` streams its source in 64 KiB blocks and cuts them into
 whole records, so memory holds one block plus the largest record. A
-record that is a header line and then lines of bases only takes a few
+record that is a header line and then lines of bases only, or under
+policy "skip" of ASCII letters only, is kept or dropped whole in a few
 C-level string calls; any other text follows the per-line rules. Files
 and binary handles such as stdin's are decoded the same way: as ASCII,
 with universal newlines, and a non-ASCII byte escaped (PEP 383). An
@@ -19,6 +24,7 @@ after any error in the text before it.
 from __future__ import annotations
 
 import io
+import operator
 import os
 
 from zeroless.core import _Frozen, _set
@@ -31,8 +37,10 @@ _TO_DIGIT = bytes(
     ord("0123"[BASES.index(chr(b).upper())]) if chr(b) in "ACGTacgt" else ord(".") for b in range(256)
 )
 _CHUNK = 1 << 16  # characters read from a FASTA source at a time
-# the four base-4 digits of a byte, most significant first, as bases
-_QUAD = tuple(a + b + c + d for a in BASES for b in BASES for c in BASES for d in BASES)
+# each hex digit to the byte whose two hex digits are its two base-4
+# digits; then "0123" to bases
+_QUADS = bytes.maketrans(b"0123456789abcdef", bytes((v >> 2) << 4 | v & 3 for v in range(16)))
+_TO_BASE = bytes.maketrans(b"0123", _BASE_BYTES)
 _POLICIES = ("reject", "skip")
 
 
@@ -51,18 +59,13 @@ def read_fasta(source, policy: str = "reject"):
     """Yield FastaRecord items from a path or a handle, in file order.
 
     A path (``str``, ``bytes`` or ``os.PathLike``) or a binary handle is
-    read as ASCII with universal newlines, as a text-mode file is: FASTA
-    headers are ASCII, and a non-ASCII byte is a ``UnicodeDecodeError``
-    that names its line and its column, counted from the start of the
-    line (">" included). The text before the byte is read under the
-    rules below first, so the records before the byte's own come first
-    and an error there is raised instead; the source is read to the end
-    of the byte's record. A text handle is read as it is: only the
-    characters that the "surrogateescape" error handler makes of bytes,
-    U+DC80 to U+DCFF, are errors there.
+    read as ASCII with universal newlines, as a text-mode file is. A
+    non-ASCII byte is a ``UnicodeDecodeError`` naming its line and column
+    (">" counted), raised after the text before it is read under the rules
+    below and the source is read to the end of the byte's record. A text
+    handle is read as it is: only the characters U+DC80 to U+DCFF, which
+    the "surrogateescape" handler makes of bytes, are errors there.
 
-    The source is read in blocks of ``_CHUNK`` characters and cut into
-    whole records, so memory holds one block plus the largest record.
     Lowercase bases are upcased. A record containing letters outside
     ACGT either raises (policy "reject", the default) or is dropped as a
     whole (policy "skip"). Records with no sequence lines at all are an
@@ -136,17 +139,22 @@ def _parse_fasta(blocks, policy):
             # the common record: a header, then lines of bases only
             head, _, body = part.partition("\n")
             seq = body.replace("\n", "").upper()
-            if seq and part.isascii() and not seq.encode().translate(None, _BASE_BYTES):
-                if header is not None and not drop:
-                    yield _record(header, parts, header_line)
-                header = None
-                yield FastaRecord(head.strip(), seq, lineno)
-                lineno += part.count("\n") + 1
-                continue
+            if seq and part.isascii():
+                rest = seq.encode().translate(None, _BASE_BYTES)
+                # bases only, or under "skip" letters only, which the
+                # per-line rules would drop
+                if not rest or policy == "skip" and rest.isalpha():
+                    if header is not None and not drop:
+                        yield _record(header, parts, header_line)
+                    header = None
+                    if not rest:
+                        yield FastaRecord(head.strip(), seq, lineno)
+                    lineno += part.count("\n") + 1
+                    continue
             part = ">" + part
         # anything else goes line by line: the text before the first
         # header, comments, "\r", spaces, headers not at the start of a
-        # line, invalid bases, empty records, bytes that are not ASCII
+        # line, other invalid bases, empty records, non-ASCII bytes
         for raw in part.split("\n"):
             # the column of a byte that is not ASCII, if any; the text
             # before it goes under the rules first
@@ -209,15 +217,20 @@ def rank_sequence(sequence: str) -> int:
 
 
 def unrank_sequence(n: int) -> str:
-    """DNA sequence of a given shortlex rank; rank 0 is the empty sequence."""
+    """DNA sequence of a given shortlex rank; rank 0 is the empty sequence.
+
+    A rank that is not an integer (``operator.index``) is a TypeError.
+    """
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {n}")
     if n == 0:
         return ""
     h = ((3 * n + 1).bit_length() - 1) // 2  # 4**h <= 3n + 1 < 4**(h+1)
     off = n - ((1 << 2 * h) - 1) // 3
-    text = "".join(map(_QUAD.__getitem__, off.to_bytes((h + 3) // 4, "big")))
-    return text[len(text) - h :]
+    # hex digits, each widened to two base-4 digits, then bases, less the pad
+    text = off.to_bytes((h + 3) // 4, "big").hex().encode().translate(_QUADS).hex()
+    return text[len(text) - h :].encode().translate(_TO_BASE).decode()
 
 
 def sequence_order(a: str, b: str) -> int:

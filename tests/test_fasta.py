@@ -98,8 +98,22 @@ lines = st.one_of(
 
 
 @st.composite
+def letter_records(draw):
+    """A header, then lines of letters only, at least one of them outside
+    ACGT: a record that the "skip" policy drops whole."""
+    body = draw(st.lists(bases, min_size=1, max_size=4))
+    i = draw(st.integers(0, len(body) - 1))
+    j = draw(st.integers(0, len(body[i])))
+    body[i] = body[i][:j] + draw(st.sampled_from("NnXU")) + body[i][j:]
+    return [draw(headers), *body]
+
+
+@st.composite
 def fasta_texts(draw):
-    body = draw(st.lists(lines, max_size=25))
+    # lines of any kind, and often a whole record of letters
+    single = lines.map(lambda line: [line])
+    groups = draw(st.lists(st.one_of(single, single, letter_records()), max_size=25))
+    body = [line for group in groups for line in group]
     if draw(st.booleans()):  # often start at a header
         body.insert(0, draw(headers))
     newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
@@ -132,6 +146,9 @@ class TestParity:
         ">good\nACGT\n>bad\nAC\nGN\n>tail\nTT\n",
         "AC\n>late\nGT\n",
         ">h\nA\rC\n>\nG\n\r\n>k\nT\n",
+        # records of letters only, next to comments, "\r" and spaces
+        ">a\nAC\n>n1\nACGN\nTT\n>b\nGG\n>n2\nxu\nX\n; c\n>c\r\nT \n>n3\nN\n",
+        ">n1\nNN\n>n2\r\nAC\r\nGU\r\n>a\nA\n\n>n3\nn\n>n4 x\nAC\n GT\n",
     ]
 
     @pytest.mark.parametrize("text", SAMPLES)
@@ -142,6 +159,43 @@ class TestParity:
         for size in range(1, len(text) + 1):
             monkeypatch.setattr(genome, "_CHUNK", size)
             assert_same(text, policy)
+
+
+class TestSkippedRecords:
+    def test_lines_after_dropped_records(self):
+        text = ">a\nAC\n>n1\nACGN\nTT\n>b\nGG\n>n2\nxu\nX\n>c\nT\n>n3\nN\n"
+        records = list(read_fasta(io.StringIO(text), "skip"))
+        assert records == [FastaRecord("a", "AC", 1), FastaRecord("b", "GG", 6), FastaRecord("c", "T", 11)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (">a\nAC\n>n\nACGN\nTT\n", "line 4, column 4: invalid base 'N' in record 'n'"),
+            (">n\nACGT\nxu\n>a\nAC\n", "line 3, column 1: invalid base 'X' in record 'n'"),
+        ],
+    )
+    def test_reject_names_the_base(self, text, message):
+        records = outcome(read_fasta(io.StringIO(text)))
+        assert records[-1] == (ValueError, message)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ">a\nAC\n;c\nGT\n",  # a comment
+            ">a\r\nAC\r\nGT\r\n",  # "\r" line ends in a text handle
+            ">a\nAC\n  \n>b\nGT\n",  # a blank line of spaces
+            ">a\nAC\n >b\nGT\n",  # a header not at the start of its line
+            ">a\nAC \n",  # a trailing space
+            ">a\nAC1\n",  # a digit
+        ],
+    )
+    def test_other_text_goes_line_by_line(self, monkeypatch, text):
+        # with and without an invalid base in the first record
+        for size in range(1, len(text) + 1):
+            monkeypatch.setattr(genome, "_CHUNK", size)
+            for policy in ("reject", "skip"):
+                assert_same(text, policy)
+                assert_same(text.replace("AC", "AN", 1), policy)
 
 
 class TestLongRecords:

@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zeroless import (
     FastaRecord,
@@ -16,6 +16,23 @@ from zeroless import (
 from zeroless.core import sigma_oracle
 
 sequences = st.text(alphabet="ACGT", max_size=40)
+
+
+def divmod_unrank(n):
+    """The sequence of rank n, one bijective base-4 digit per divmod."""
+    bases = []
+    while n:
+        n, d = divmod(n - 1, 4)
+        bases.append("ACGT"[d])
+    return "".join(reversed(bases))
+
+
+@st.composite
+def ranks(draw, max_length):
+    """A rank whose sequence has at most ``max_length`` bases."""
+    h = draw(st.integers(0, max_length))
+    first = (4**h - 1) // 3
+    return first + draw(st.integers(0, 4**h - 1))
 
 
 class TestRankSequence:
@@ -61,6 +78,38 @@ class TestUnrankSequence:
     def test_negative_rank(self):
         with pytest.raises(ValueError):
             unrank_sequence(-1)
+
+    @pytest.mark.parametrize("rank", [2.0, "5", None, 1.5])
+    def test_non_integer_rank(self, rank):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            unrank_sequence(rank)
+
+    def test_integer_like_ranks(self):
+        class Rank(int):
+            pass
+
+        class Index:
+            def __index__(self):
+                return 40
+
+        assert unrank_sequence(True) == "A"
+        assert unrank_sequence(False) == ""
+        assert unrank_sequence(Rank(228)) == "GATT"
+        assert unrank_sequence(Index()) == "CAT"
+
+    # every length mod 4 and odd lengths, whose hex text has a pad digit
+    @pytest.mark.parametrize("h", [*range(1, 65), *range(9997, 10001)])
+    def test_first_last_and_random_rank_of_each_length(self, h):
+        first = (4**h - 1) // 3
+        for n in (first, 4 * first, random.Random(h).randint(first, 4 * first)):
+            seq = unrank_sequence(n)
+            assert seq == divmod_unrank(n)
+            assert len(seq) == h
+
+    @settings(max_examples=60, deadline=None)
+    @given(ranks(5000))
+    def test_agrees_with_divmod(self, n):
+        assert unrank_sequence(n) == divmod_unrank(n)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 9999, 10**4])
     def test_length_boundaries(self, h):
