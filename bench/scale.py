@@ -1,0 +1,172 @@
+"""Small-operand latency of the zeroless library: µs per call, per op kind.
+
+    python3 bench/scale.py [--calls N] [--repeat R] [--out DIR]
+
+For bases 10 and 60 it draws N seeded operands of 1 to 12 digits per op
+kind: add, multiply, lattice_multiply with a generator set that holds 1
+and with one that lacks it (whose operands avoid the digit 1, so every
+call succeeds), sigma, omega, delta, parse_lex and format_lex (in the
+CLI's default notation: 1..9,X in base 10, brackets in base 60). Each
+kind's N calls are timed as one pass, R passes per kind, the kinds taking
+turns; the fastest pass over N is the kind's µs per call. A fixed
+pure-Python loop and ``str()`` of a fixed 10**5-digit int are timed the
+same way, so that files from hosts of different speed can be compared.
+
+The figures, with the machine, the interpreter, the seed and the commit,
+go to DIR/BENCH_<date>_<commit>.json (DIR defaults to this script's
+folder); when ``src`` differs from the commit, the commit is suffixed
+"-dirty-" and a hash of that difference.
+The package is imported from this checkout's ``src``. Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import hashlib
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+BASES = (10, 60)
+DIGITS = (1, 12)
+GENERATORS = {"lattice_with_1": (1, 5), "lattice_without_1": (2, 3)}
+SEED = 4101
+
+
+def _commit():
+    """Short commit of the checkout; "unknown" without git.
+
+    When ``src`` differs from the commit, "-dirty-" and the first 8 hex
+    digits of the SHA-1 of ``git diff HEAD -- src`` follow, so that two
+    different uncommitted trees never share a name.
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True, timeout=10
+        )
+        diff = subprocess.run(["git", "diff", "HEAD", "--", "src"], cwd=ROOT, capture_output=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    if sha.returncode or diff.returncode:
+        return "unknown"
+    if not diff.stdout:
+        return sha.stdout.strip()
+    return f"{sha.stdout.strip()}-dirty-{hashlib.sha1(diff.stdout).hexdigest()[:8]}"
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), None)
+    except OSError:
+        return platform.processor() or None
+
+
+def _calls(zl, rng, k, n):
+    """{kind: (function, [argument tuples])} for n calls in base k."""
+
+    def digits(low=1):
+        return tuple(rng.randint(low, k) for _ in range(rng.randint(*DIGITS)))
+
+    def numeral(low=1):
+        return zl.LexNumeral(k, digits(low))
+
+    alpha = zl.default_alphabet(k)
+    ranks = [zl.omega(numeral()) for _ in range(n)]
+    calls = {
+        "add": (zl.add, [(numeral(), numeral()) for _ in range(n)]),
+        "multiply": (zl.multiply, [(numeral(), numeral()) for _ in range(n)]),
+        "sigma": (zl.sigma, [(k, r) for r in ranks]),
+        "omega": (zl.omega, [(numeral(),) for _ in range(n)]),
+        "delta": (zl.delta, [(k, r) for r in ranks]),
+        "parse_lex": (zl.parse_lex, [(zl.format_lex(numeral(), alpha), k, alpha) for _ in range(n)]),
+        "format_lex": (zl.format_lex, [(numeral(), alpha) for _ in range(n)]),
+    }
+    for kind, gens in GENERATORS.items():
+        low = min(gens)
+        calls[kind] = (zl.lattice_multiply, [(numeral(low), numeral(low), gens) for _ in range(n)])
+    return calls
+
+
+def _python_loop():
+    acc = 0
+    for i in range(100_000):
+        acc = (acc + i * i) % 1_000_003
+    return acc
+
+
+def _time(fn, args_list):
+    t0 = perf_counter()
+    for args in args_list:
+        fn(*args)
+    return perf_counter() - t0
+
+
+def measure(calls_per_kind: int, repeat: int) -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    import zeroless as zl
+
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    rng = random.Random(SEED)
+    work = {}  # (name, base or None): (function, argument tuples)
+    for k in BASES:
+        for kind, (fn, args_list) in _calls(zl, rng, k, calls_per_kind).items():
+            work[kind, k] = (fn, args_list)
+    big = int("7" * 100_000)
+    work["python_loop", None] = (_python_loop, [()])
+    work["str_1e5_digits", None] = (str, [(big,)])
+    best = dict.fromkeys(work, float("inf"))
+    for _ in range(repeat):  # the kinds take turns, so a slow spell of the host hits them alike
+        for key, (fn, args_list) in work.items():
+            best[key] = min(best[key], _time(fn, args_list) / len(args_list))
+    per_call = {str(k): {} for k in BASES}
+    for (name, k), seconds in best.items():
+        if k is not None:
+            per_call[str(k)][name] = round(seconds * 1e6, 3)
+    return {
+        "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d"),
+        "commit": _commit(),
+        "machine": {
+            "arch": platform.machine(),
+            "cpu": _cpu_model(),
+            "system": platform.system(),
+            "release": platform.release(),
+            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        },
+        "python": {"implementation": platform.python_implementation(), "version": platform.python_version()},
+        "seed": SEED,
+        "calls_per_kind": calls_per_kind,
+        "repeat": repeat,
+        "operand_digits": list(DIGITS),
+        "generators": {kind: list(gens) for kind, gens in GENERATORS.items()},
+        "calibration_us": {name: round(best[name, None] * 1e6, 1) for name in ("python_loop", "str_1e5_digits")},
+        "us_per_call": per_call,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--calls", type=int, default=300, help="calls per op kind and base")
+    parser.add_argument("--repeat", type=int, default=25, help="timed passes per op kind")
+    parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parent, help="folder for the JSON file")
+    args = parser.parse_args(argv)
+    if args.calls < 1 or args.repeat < 1:
+        parser.error("--calls and --repeat must be at least 1")
+    result = measure(args.calls, args.repeat)
+    path = args.out / f"BENCH_{result['date'].replace('-', '')}_{result['commit']}.json"
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,14 +12,16 @@ the finished intermediate is rewritten as a zeroless string at the very
 end. Cells whose digit products are inconvenient to know by heart can be
 split over a set of generator digits; the partial products then land in
 the same columns. The lattice itself runs only when its trace is asked
-for: without one, the generator restriction is checked digit by digit
-and the product is taken by rank, as ``multiply`` takes it.
+for: without one, each digit is tested against the sums of generators
+and the product is taken by rank.
 """
 
 from __future__ import annotations
 
+import operator
+
 from zeroless import _backend
-from zeroless.core import LexNumeral, ZeroNumeral, _check_same_base, _Frozen, _set, omega, sigma
+from zeroless.core import _SET_BASES, LexNumeral, ZeroNumeral, _check_same_base, _Frozen, _set, omega, sigma
 
 
 def add(a: LexNumeral, b: LexNumeral) -> LexNumeral:
@@ -94,15 +96,6 @@ class _Splits:
             count.append(best)
             first.append(pick)
 
-    def unmade(self, values) -> int | None:
-        """The first of values that no sum of generators makes, or None."""
-        rest = [v for v in values if v not in self.generators]
-        if not rest:
-            return None
-        self._extend(max(rest))
-        count = self.count
-        return next((v for v in rest if count[v] is None), None)
-
     def parts(self, value: int) -> list | None:
         self._extend(value)
         first = self.first
@@ -114,6 +107,37 @@ class _Splits:
             parts.append(g)
             value -= g
         return parts
+
+
+_UNSET = bytes.maketrans(b"01", b"\1\0")  # bit string: 1 at each unset bit
+
+
+def _unmade_test(k: int, gens: tuple):
+    """Test for the digits of base k that no sum of gens (largest first) makes.
+
+    Up to base 256 the sums are the bits of one int. Above, no sum makes
+    a digit d < least[d % g], the least sum in its class modulo the
+    smallest generator g (Nijenhuis 1979): work bounded by g.
+    """
+    g = gens[-1]
+    if k <= _SET_BASES:
+        made = 1
+        for h in gens:
+            while h <= k:
+                made |= made << h
+                h <<= 1
+        return format(made & ((2 << k) - 1) | 2 << k, "b")[:0:-1].encode().translate(_UNSET).__getitem__
+    import heapq
+
+    least = {}  # class modulo g: least sum of generators in it, up to k
+    heap = [0]
+    while heap and heap[0] <= k:
+        s = heapq.heappop(heap)
+        if s % g not in least:
+            least[s % g] = s
+            for h in gens:
+                heapq.heappush(heap, s + h)
+    return lambda d: d < least.get(d % g, d + 1)
 
 
 def _undecomposable(xd: int, yd: int, generators: tuple) -> ValueError:
@@ -148,12 +172,9 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
     sum to it, largest first. With ``trace=True`` the return value is a
     (result, LatticeTrace) pair instead of the bare result.
 
-    Without a trace the lattice is not written out: the generator
-    restriction is checked digit by digit (a cell fails when neither of
-    its digits is a sum of generators, and the first such cell in
-    row-major order is the one reported), and the product is taken by
-    rank, as ``multiply`` takes it. The result and the error are the
-    lattice's own.
+    Without a trace the lattice is not written out: each digit is tested
+    against the generators and the product is taken by rank, with the
+    lattice's own result and error (its first failing cell, row-major).
     """
     _check_same_base(x, y)
     k = x.base
@@ -162,7 +183,7 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
     if generators is None:
         gens = ()
     else:
-        gens = tuple(sorted(set(generators), reverse=True))
+        gens = tuple(sorted(set(map(operator.index, generators)), reverse=True))
         if not gens:
             raise ValueError("generator set must not be empty")
     for g in gens:
@@ -175,13 +196,11 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
         return result
     if not trace:
         if gens and gens[-1] != 1:  # sums of ones make every digit
-            # a cell fails when both its digits do, so the first failing
-            # cell pairs the first failing digit of x with that of y; the
-            # table grows to the right digits first, as the lattice's does
-            splits = _Splits(gens)
-            yd = splits.unmade(y.digits)
+            # a cell fails when both its digits do: the first unmade digits of x and y
+            unmade = _unmade_test(k, gens)
+            yd = next(filter(unmade, y.digits), None)
             if yd is not None:
-                xd = splits.unmade(x.digits)
+                xd = next(filter(unmade, x.digits), None)
                 if xd is not None:
                     raise _undecomposable(xd, yd, gens)
         return multiply(x, y)

@@ -22,8 +22,8 @@ def _natural(text: str) -> int:
     if text.isascii() and text.isdigit():
         return int(text)
     if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    raise argparse.ArgumentTypeError(f"{text!r} is not a decimal number")
+        raise argparse.ArgumentTypeError(f"{core._echo(text)} is negative")
+    raise argparse.ArgumentTypeError(f"{core._echo(text)} is not a decimal number")
 
 
 def _generator_list(text: str) -> tuple:
@@ -31,7 +31,7 @@ def _generator_list(text: str) -> tuple:
         return tuple(int(part, 10) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of digits"
+            f"{core._echo(text)} is not a comma-separated list of digits"
         ) from None
 
 

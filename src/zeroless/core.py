@@ -35,6 +35,7 @@ _ASCII_TO_LEX10 = bytes.maketrans(b"0123456789", bytes(range(1, 11)))
 # cross at 14-16 digits on CPython 3.10-3.13)
 _HORNER_DIGITS = 15
 _SET_BASES = 256  # largest base whose digit set is cached
+_CIPHERS = {str(v): v for v in range(_SET_BASES + 1)}  # bracket cipher: value
 _LEX_TESTS = {}  # base: digit test of LexNumeral
 _ZERO_TESTS = {}  # base: digit test of ZeroNumeral
 
@@ -437,6 +438,13 @@ def predecessor(a: LexNumeral) -> LexNumeral:
 ZERO_TOKEN = "ε"  # ε
 
 
+def _echo(text: str) -> str:
+    """repr of input for an error message, cut after 40 characters."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _scan_brackets(text):
     """Digit values of an all-bracket numeral like "[2][10][9]"."""
     values = []
@@ -452,8 +460,8 @@ def _scan_brackets(text):
         if end < 0:
             raise ValueError(f"unterminated cipher bracket at position {pos}")
         body = text[pos + 1 : end]
-        if not body.isdigit():
-            raise ValueError(f"cipher bracket {text[pos:end + 1]!r} at position {pos} is not a decimal integer")
+        if not (body.isascii() and body.isdigit()):
+            raise ValueError(f"cipher bracket {_echo(text[pos:end + 1])} at position {pos} is not a decimal integer")
         values.append(int(body))
         pos = end + 1
     return values
@@ -462,15 +470,17 @@ def _scan_brackets(text):
 def _parse_ciphers(text, base, alphabet, low):
     """Digit values of a numeral, each required to lie in [low, base+low-1]."""
     hi = base + low - 1
-    if text.startswith("["):
-        values = _scan_brackets(text)
-        for v in values:
-            if not low <= v <= hi:
-                raise ValueError(f"cipher [{v}] out of range [{low}, {hi}]")
-        return values
+    if text[:1] == "[":
+        values = list(map(_CIPHERS.get, text[1:-1].split("][")))
+        if text[-1] != "]" or None in values:
+            values = _scan_brackets(text)  # long or zero-padded ciphers, and errors
+        if low <= min(values) and max(values) <= hi:
+            return values
+        v = next(v for v in values if not low <= v <= hi)
+        raise ValueError(f"cipher [{v}] out of range [{low}, {hi}]")
     if alphabet is None:
         raise ValueError(
-            f"cannot read {text!r}: no alphabet given, so only bracket ciphers are understood"
+            f"cannot read {_echo(text)}: no alphabet given, so only bracket ciphers are understood"
         )
     index = _symbol_values(alphabet, low)
     try:
@@ -516,7 +526,7 @@ def format_lex(a: LexNumeral, alphabet: Alphabet | None = None) -> str:
     if not a.digits:
         return ZERO_TOKEN
     if alphabet is None:
-        return "".join(f"[{d}]" for d in a.digits)
+        return "[" + "][".join(map(str, a.digits)) + "]"
     if alphabet.base != a.base:
         raise ValueError(f"alphabet of size {alphabet.base} cannot render base {a.base}")
     return "".join(alphabet.symbols[d - 1] for d in a.digits)
@@ -544,7 +554,7 @@ def format_zero(a: ZeroNumeral, symbols: str | None = None) -> str:
     if symbols is None and a.base <= 10:
         symbols = _DECIMAL[: a.base]
     if symbols is None:
-        return "".join(f"[{d}]" for d in a.digits)
+        return "[" + "][".join(map(str, a.digits)) + "]"
     if len(symbols) != a.base:
         raise ValueError(f"symbol set of size {len(symbols)} cannot render base {a.base}")
     return "".join(symbols[d] for d in a.digits)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,16 @@ from zeroless import (
 )
 from zeroless.arithmetic import LatticeTrace
 from zeroless.core import default_alphabet
+
+
+class _Index:
+    """An integer-like object that is no int, as numpy's are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def dx(text):
@@ -350,6 +362,68 @@ class TestLatticeMultiply:
             with pytest.raises(ValueError) as info:
                 lattice_multiply(a, b, generators=gens, trace=trace)
             assert str(info.value) == message
+
+    def test_huge_digit_is_checked_in_bounded_time(self):
+        k = 2**40
+        a = LexNumeral(k, (k - 3,))
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            lattice_multiply(a, a, generators={k, 6})
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"cell {k - 3} x {k - 3}: neither digit decomposes into generators [6, {k}]"
+        b = LexNumeral(k, (k - 4, 12, k))  # k - 4 is a multiple of 6, and k a generator
+        assert lattice_multiply(b, a, generators=[6, k]) == multiply(b, a)
+
+    @pytest.mark.parametrize("gens", [[2, 4.0], (4.0,), [2, "4"], [2, None]])
+    def test_generators_must_be_ints(self, gens):
+        x = dx("24")
+        for trace in (False, True):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                lattice_multiply(x, x, generators=gens, trace=trace)
+
+    def test_generators_may_be_any_iterable(self):
+        x, y = dx("36"), dx("58")
+        for gens in ({3, 5}, [5, 3, 3], (3, 5), iter([3, 5]), frozenset({5, 3}), [_Index(3), _Index(5)]):
+            assert lattice_multiply(x, y, generators=gens) == multiply(x, y)
+        with pytest.raises(ValueError, match=r"cell 7 x 1: neither digit decomposes into generators \[3, 5\]"):
+            lattice_multiply(dx("7"), dx("1"), generators=[_Index(5), _Index(3)])
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_traced_and_untraced_agree_exhaustively(self, k):
+        # every generator subset with every pair of 1-digit operands, and
+        # of 1-2 digit operands up to base 5 (all bases would take 6 million)
+        singles = [LexNumeral(k, (d,)) for d in range(1, k + 1)]
+        pairs = [LexNumeral(k, (d, e)) for d in range(1, k + 1) for e in range(1, k + 1)]
+        operands = singles + pairs if k <= 5 else singles
+
+        def outcome(a, b, gens, trace):
+            try:
+                result = lattice_multiply(a, b, generators=gens, trace=trace)
+            except ValueError as exc:
+                return str(exc)
+            return result[0] if trace else result
+
+        for size in range(1, k + 1):
+            for gens in itertools.combinations(range(1, k + 1), size):
+                for a in operands:
+                    for b in operands:
+                        assert outcome(a, b, gens, False) == outcome(a, b, gens, True), (a, b, gens)
+
+    @pytest.mark.parametrize("k", [256, 257, 1000])
+    def test_traced_and_untraced_agree_in_large_bases(self, k):
+        # base 256 is the last with the bit test; above it the least sum per class decides
+        rng = random.Random(k)
+        for _ in range(300):
+            gens = rng.sample(range(2, k + 1), rng.randint(1, 3)) + rng.sample(range(2, 12), rng.randint(0, 2))
+            a, b = (LexNumeral(k, tuple(rng.randint(1, k) for _ in range(rng.randint(1, 2)))) for _ in "ab")
+            try:
+                expected = lattice_multiply(a, b, generators=gens, trace=True)[0]
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    lattice_multiply(a, b, generators=gens)
+                assert str(info.value) == str(exc)
+            else:
+                assert lattice_multiply(a, b, generators=gens) == expected
 
     @pytest.mark.parametrize(
         "x, y, gens, parts",

@@ -1,0 +1,24 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "scale.py"
+
+
+def test_scale_script_writes_its_json(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--calls", "2", "--repeat", "1", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    path = Path(proc.stdout.strip())
+    assert path.parent == tmp_path and path.name.startswith("BENCH_")
+    result = json.loads(path.read_text())
+    kinds = {"add", "multiply", "lattice_with_1", "lattice_without_1", "sigma", "omega", "delta", "parse_lex",
+             "format_lex"}
+    assert set(result["us_per_call"]) == {"10", "60"}
+    for per_kind in result["us_per_call"].values():
+        assert set(per_kind) == kinds and all(us > 0 for us in per_kind.values())
+    assert set(result["calibration_us"]) == {"python_loop", "str_1e5_digits"}
+    assert result["seed"] == 4101 and result["python"]["version"]

@@ -296,6 +296,34 @@ class TestNaturalArguments:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("'-12' is negative\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("encode", "{}x"),
+            ("unrank", "-{}"),
+            ("enumerate", "--count", "{}x"),
+            ("mul", "--generators", "{}x", "2", "3"),
+            ("decode", "-b", "60", "{}x"),
+            ("decode", "-b", "60", "[{}x]"),
+            ("add", "-b", "60", "[1]", "[2]{}"),
+        ],
+    )
+    def test_long_bad_argument_gives_a_short_error(self, capsys, argv):
+        """A bad argument of 10**5 characters is echoed cut, with the exit code of a short one."""
+        codes, errors = [], []
+        for digits in ("7", "7" * 100_000):
+            try:
+                codes.append(main([part.format(digits) for part in argv]))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err.splitlines())
+        assert codes[0] == codes[1] in (1, 2)
+        assert errors[1][:-1] == errors[0][:-1]  # argparse's usage lines, if any
+        assert len(errors[1]) == 1 or codes[1] == 2
+        assert len(errors[1][-1].encode()) < 200
+
     @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("1000", 1000), ("9" * 5000, 10**5000 - 1)])
     def test_accepted(self, capsys, text, value):
         code, out, _ = run(capsys, "encode", text)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeroless import core
 from zeroless import (
     Alphabet,
     LexNumeral,
@@ -340,6 +341,7 @@ class TestParseFormat:
     def test_bracket_parsing(self):
         assert parse_lex("[35]", base=60).digits == (35,)
         assert parse_lex("[2][10][9]", base=10).digits == (2, 10, 9)
+        assert parse_lex("[03][1]", base=10).digits == (3, 1)  # leading zeros are read
 
     def test_x_notation(self, decimal_x):
         assert parse_lex("2X9X5", alphabet=decimal_x).digits == (2, 10, 9, 10, 5)
@@ -413,6 +415,69 @@ class TestParseFormat:
         acgt = Alphabet.named("acgt")
         a = LexNumeral(4, tuple(digits))
         assert parse_lex(format_lex(a, acgt), alphabet=acgt) == a
+
+    @pytest.mark.parametrize(
+        "text, cipher, pos",
+        [
+            ("[\u0663][1]", "[\u0663]", 0),
+            ("[1][\u00b2]", "[\u00b2]", 3),
+            ("[\uff11]", "[\uff11]", 0),
+            ("[1][ 2]", "[ 2]", 3),
+            ("[+2]", "[+2]", 0),
+        ],
+    )
+    def test_bracket_ciphers_take_ascii_digits_only(self, text, cipher, pos):
+        for parse in (parse_lex, parse_zero):
+            with pytest.raises(ValueError) as exc:
+                parse(text, base=60)
+            assert str(exc.value) == f"cipher bracket {cipher!r} at position {pos} is not a decimal integer"
+
+    @settings(max_examples=400)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 400), min_size=1, max_size=6).map(lambda ds: "".join(f"[{d}]" for d in ds)),
+            st.lists(st.sampled_from(["[", "]", "][", "1", "07", "300", "", "x", "A", "\u0663", "\u00b2", " "]))
+            .map(lambda parts: "[" + "".join(parts)),
+        ),
+        st.integers(1, 300),
+        st.integers(0, 1),
+    )
+    def test_brackets_parse_as_the_scan_does(self, text, base, low):
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as exc:
+                return str(exc)
+
+        def reference():
+            values = core._scan_brackets(text)
+            for v in values:
+                if not low <= v <= base + low - 1:
+                    raise ValueError(f"cipher [{v}] out of range [{low}, {base + low - 1}]")
+            return values
+
+        assert outcome(lambda: core._parse_ciphers(text, base, None, low)) == outcome(reference)
+
+    @given(st.integers(1, 400), st.lists(st.integers(0, 399), max_size=30))
+    def test_brackets_format_as_the_cipher_join_did(self, k, values):
+        lex = tuple(v % k + 1 for v in values)
+        assert format_lex(LexNumeral(k, lex)) == ("".join(f"[{d}]" for d in lex) or "ε")
+        if k > 10:
+            zero = [v % k for v in values] or [0]
+            while len(zero) > 1 and zero[0] == 0:
+                zero.pop(0)
+            assert format_zero(ZeroNumeral(k, zero)) == "".join(f"[{d}]" for d in zero)
+
+    def test_error_messages_cut_the_echoed_input(self):
+        long = "7" * 100_000
+        for text, start, end in [
+            (long + "x", "cannot read '7777", "(100001 characters): no alphabet given, so only bracket ciphers are understood"),
+            (f"[1][{long}x]", "cipher bracket '[7777", "(100003 characters) at position 3 is not a decimal integer"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                parse_lex(text, 60)
+            message = str(exc.value)
+            assert message.startswith(start) and message.endswith(end) and len(message) < 200
 
     def test_zero_numeral_text(self):
         assert parse_zero("38070", 10).digits == (3, 8, 0, 7, 0)
