@@ -1,4 +1,4 @@
-"""Small-operand latency of the zeroless library: µs per call, per op kind.
+"""Small-operand and FASTA-read latency of the zeroless library: µs per call.
 
     python3 bench/scale.py [--calls N] [--repeat R] [--out DIR]
 
@@ -11,6 +11,13 @@ kind's N calls are timed as one pass, R passes per kind, the kinds taking
 turns; the fastest pass over N is the kind's µs per call. A fixed
 pure-Python loop and ``str()`` of a fixed 10**5-digit int are timed the
 same way, so that files from hosts of different speed can be compared.
+
+The FASTA section writes 20,000 seeded reads of 150 bases, each on two
+lines (80 and 70 bases), to a temporary file, and times ``read_fasta``
+over it alone and with ``rank_sequence`` of each record, and
+``read_fasta`` alone over the same reads in lowercase, as soft-masked
+text has them, taking turns with the op kinds; the fastest of R passes
+over 20,000 is the µs per read.
 
 The figures, with the machine, the interpreter, the seed and the commit,
 go to DIR/BENCH_<date>_<commit>.json (DIR defaults to this script's
@@ -31,6 +38,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -39,6 +47,7 @@ BASES = (10, 60)
 DIGITS = (1, 12)
 GENERATORS = {"lattice_with_1": (1, 5), "lattice_without_1": (2, 3)}
 SEED = 4101
+READS, READ_BASES, LINE_WIDTH = 20000, 150, 80
 
 
 def _commit():
@@ -110,6 +119,25 @@ def _time(fn, args_list):
     return perf_counter() - t0
 
 
+def _write_reads(path, bases="ACGT"):
+    rng = random.Random(SEED)
+    with open(path, "w", encoding="ascii") as handle:
+        for i in range(READS):
+            seq = "".join(rng.choices(bases, k=READ_BASES))
+            handle.write(f">read{i}\n{seq[:LINE_WIDTH]}\n{seq[LINE_WIDTH:]}\n")
+
+
+def _read(zl, path):
+    for _ in zl.read_fasta(path):
+        pass
+
+
+def _read_and_rank(zl, path):
+    rank = zl.rank_sequence
+    for record in zl.read_fasta(path):
+        rank(record.sequence)
+
+
 def measure(calls_per_kind: int, repeat: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import zeroless as zl
@@ -117,20 +145,27 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     rng = random.Random(SEED)
-    work = {}  # (name, base or None): (function, argument tuples)
+    work = {}  # (name, base or "fasta" or None): (function, argument tuples, calls or reads per pass)
     for k in BASES:
         for kind, (fn, args_list) in _calls(zl, rng, k, calls_per_kind).items():
-            work[kind, k] = (fn, args_list)
+            work[kind, k] = (fn, args_list, len(args_list))
     big = int("7" * 100_000)
-    work["python_loop", None] = (_python_loop, [()])
-    work["str_1e5_digits", None] = (str, [(big,)])
-    best = dict.fromkeys(work, float("inf"))
-    for _ in range(repeat):  # the kinds take turns, so a slow spell of the host hits them alike
-        for key, (fn, args_list) in work.items():
-            best[key] = min(best[key], _time(fn, args_list) / len(args_list))
+    work["python_loop", None] = (_python_loop, [()], 1)
+    work["str_1e5_digits", None] = (str, [(big,)], 1)
+    with tempfile.TemporaryDirectory() as folder:
+        path, lower = os.path.join(folder, "reads.fa"), os.path.join(folder, "lower.fa")
+        _write_reads(path)
+        _write_reads(lower, "acgt")
+        work["read_fasta", "fasta"] = (_read, [(zl, path)], READS)
+        work["read_fasta_rank_sequence", "fasta"] = (_read_and_rank, [(zl, path)], READS)
+        work["read_fasta_lowercase", "fasta"] = (_read, [(zl, lower)], READS)
+        best = dict.fromkeys(work, float("inf"))
+        for _ in range(repeat):  # the kinds take turns, so a slow spell of the host hits them alike
+            for key, (fn, args_list, count) in work.items():
+                best[key] = min(best[key], _time(fn, args_list) / count)
     per_call = {str(k): {} for k in BASES}
     for (name, k), seconds in best.items():
-        if k is not None:
+        if k in BASES:
             per_call[str(k)][name] = round(seconds * 1e6, 3)
     return {
         "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d"),
@@ -150,13 +185,22 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
         "generators": {kind: list(gens) for kind, gens in GENERATORS.items()},
         "calibration_us": {name: round(best[name, None] * 1e6, 1) for name in ("python_loop", "str_1e5_digits")},
         "us_per_call": per_call,
+        "fasta": {
+            "reads": READS,
+            "read_bases": READ_BASES,
+            "line_width": LINE_WIDTH,
+            "us_per_read": {
+                name: round(best[name, "fasta"] * 1e6, 3)
+                for name in ("read_fasta", "read_fasta_rank_sequence", "read_fasta_lowercase")
+            },
+        },
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=300, help="calls per op kind and base")
-    parser.add_argument("--repeat", type=int, default=25, help="timed passes per op kind")
+    parser.add_argument("--repeat", type=int, default=25, help="timed passes per op kind and per FASTA pass")
     parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parent, help="folder for the JSON file")
     args = parser.parse_args(argv)
     if args.calls < 1 or args.repeat < 1:

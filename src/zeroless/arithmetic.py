@@ -21,7 +21,9 @@ from __future__ import annotations
 import operator
 
 from zeroless import _backend
-from zeroless.core import _SET_BASES, LexNumeral, ZeroNumeral, _check_same_base, _Frozen, _set, omega, sigma
+from zeroless.core import (
+    _SET_BASES, LexNumeral, ZeroNumeral, _check_same_base, _echo_int, _Frozen, _set, omega, sigma,
+)
 
 
 def add(a: LexNumeral, b: LexNumeral) -> LexNumeral:
@@ -74,15 +76,17 @@ class _Splits:
     """Fewest-parts sums of generators, worked out up to the largest value asked.
 
     Coin change by dynamic programming over 0..value: ``first[v]`` is the
-    first part of the fewest-parts sum making v, 0 when no sum does.
+    first part of the fewest-parts sum making v.
     Among sums with the fewest parts the one with the largest parts wins:
     generators are tried largest first and a later one only replaces an
     earlier one on a strictly shorter sum, so the parts come out largest
-    first.
+    first. A value that no sum makes is answered by ``_unmade_test``
+    before the table grows, so it never grows past a value some sum makes.
     """
 
-    def __init__(self, generators: tuple):
+    def __init__(self, generators: tuple, k: int):
         self.generators = generators  # sorted descending
+        self.unmade = _unmade_test(k, generators)  # "no sum", without the table
         self.count = [0]  # fewest parts making v, None when no sum does
         self.first = [0]
 
@@ -97,13 +101,13 @@ class _Splits:
             first.append(pick)
 
     def parts(self, value: int) -> list | None:
+        if self.unmade(value):
+            return None
         self._extend(value)
         first = self.first
         parts = []
         while value:
             g = first[value]
-            if not g:
-                return None
             parts.append(g)
             value -= g
         return parts
@@ -188,7 +192,7 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
             raise ValueError("generator set must not be empty")
     for g in gens:
         if not 1 <= g <= k:
-            raise ValueError(f"generator {g} out of range [1, {k}]")
+            raise ValueError(f"generator {_echo_int(g)} out of range [1, {_echo_int(k)}]")
     if x.is_zero or y.is_zero:
         result = LexNumeral.zero(k)
         if trace:
@@ -205,7 +209,7 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
                     raise _undecomposable(xd, yd, gens)
         return multiply(x, y)
     m, n = len(x.digits), len(y.digits)
-    splits = _Splits(gens) if gens else None
+    splits = _Splits(gens, k) if gens else None
     columns = [[] for _ in range(m + n)]
     steps = []
     for i, xd in enumerate(x.digits):

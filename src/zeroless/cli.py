@@ -26,6 +26,14 @@ def _natural(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{core._echo(text)} is not a decimal number")
 
 
+def _integer(text: str) -> int:
+    """``int(text)``; else argparse's own "invalid int value", the text cut by ``core._echo``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {core._echo(text)}") from None
+
+
 def _generator_list(text: str) -> tuple:
     try:
         return tuple(int(part, 10) for part in text.split(","))
@@ -174,7 +182,7 @@ def _cmd_unrank(args) -> int:
 
 
 def _add_numeral_options(sub):
-    sub.add_argument("--base", "-b", type=int, default=None, help="numeral base k")
+    sub.add_argument("--base", "-b", type=_integer, default=None, help="numeral base k")
     sub.add_argument(
         "--alphabet",
         "-a",

@@ -55,6 +55,8 @@ class _Frozen:
     class), copying and pickling through its constructor, and
     AttributeError on assignment and deletion. Unlike ``dataclasses``,
     this costs the importing process nothing beyond the class itself.
+    ``genome.FastaRecord`` keeps these rules but is tuple-backed instead,
+    so that the FASTA reader builds each record with one ``tuple.__new__``.
     """
 
     __slots__ = ()
@@ -445,6 +447,21 @@ def _echo(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
+def _echo_int(n: int) -> str:
+    """An int for an error message, cut after 40 digits as ``_echo`` cuts text.
+
+    The leading digits of a long one come from dividing off a power of
+    ten, not from ``str()``, which before Python 3.12 is quadratic.
+    """
+    if -(10**40) < n < 10**40:
+        return str(n)
+    # digits to divide off: log10(2) per bit, floored, less 40, so that at
+    # least 40 are left
+    cut = max(int((n.bit_length() - 1) * 0.3010299956639812) - 40, 0)
+    lead = str(abs(n) // 10**cut)
+    return f"{'-' * (n < 0)}{lead[:40]}... ({cut + len(lead)} digits)"
+
+
 def _scan_brackets(text):
     """Digit values of an all-bracket numeral like "[2][10][9]"."""
     values = []
@@ -477,7 +494,7 @@ def _parse_ciphers(text, base, alphabet, low):
         if low <= min(values) and max(values) <= hi:
             return values
         v = next(v for v in values if not low <= v <= hi)
-        raise ValueError(f"cipher [{v}] out of range [{low}, {hi}]")
+        raise ValueError(f"cipher [{_echo_int(v)}] out of range [{low}, {_echo_int(hi)}]")
     if alphabet is None:
         raise ValueError(
             f"cannot read {_echo(text)}: no alphabet given, so only bracket ciphers are understood"

@@ -13,7 +13,9 @@ and maps 0123 to ACGT with one more translate.
 whole records, so memory holds one block plus the largest record. A
 record that is a header line and then lines of bases only, or under
 policy "skip" of ASCII letters only, is kept or dropped whole in a few
-C-level string calls; any other text follows the per-line rules. Files
+C-level string calls (upcased only when it holds lowercase bases);
+any other text follows the per-line rules. A record is a
+tuple-backed ``FastaRecord``, built with one ``tuple.__new__``. Files
 and binary handles such as stdin's are decoded the same way: as ASCII,
 with universal newlines, and a non-ASCII byte escaped (PEP 383). An
 escaped byte, in a header too, is one more per-line rule: an error that
@@ -26,11 +28,11 @@ from __future__ import annotations
 import io
 import operator
 import os
-
-from zeroless.core import _Frozen, _set
+from collections import namedtuple
 
 BASES = "ACGT"
 _BASE_BYTES = BASES.encode()
+_LOWER_BYTES = BASES.lower().encode()
 # each byte to a base-4 digit, A or a to "0" up to T or t to "3", and any
 # other byte to ".", which int() refuses (it would take "_", spaces, signs)
 _TO_DIGIT = bytes(
@@ -44,15 +46,32 @@ _TO_BASE = bytes.maketrans(b"0123", _BASE_BYTES)
 _POLICIES = ("reject", "skip")
 
 
-class FastaRecord(_Frozen):
-    """One FASTA record; ``line`` is where its header sits in the source."""
+class FastaRecord(namedtuple("FastaRecord", ("id", "sequence", "line"))):
+    """One FASTA record; ``line`` is where its header sits in the source.
 
-    __slots__ = ("id", "sequence", "line")
+    A tuple underneath, so that the reader makes one with a single
+    ``tuple.__new__``, and indexable and iterable as one; like the other
+    value types it equals only records, never a plain tuple of the same
+    fields, and has no order.
+    """
 
-    def __init__(self, id: str, sequence: str, line: int):
-        _set(self, "id", id)
-        _set(self, "sequence", sequence)
-        _set(self, "line", line)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # False, not NotImplemented, for another tuple: tuple's own
+        # comparison would then answer field by field
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        # raised, not NotImplemented: tuple's own order would then answer
+        raise TypeError(f"{self.__class__.__qualname__} values have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 def read_fasta(source, policy: str = "reject"):
@@ -129,6 +148,7 @@ def _escaped(line):
 
 
 def _parse_fasta(blocks, policy):
+    new = tuple.__new__
     header = None  # the record open under the per-line rules
     header_line = 0
     parts = []
@@ -138,9 +158,14 @@ def _parse_fasta(blocks, policy):
         if lineno:
             # the common record: a header, then lines of bases only
             head, _, body = part.partition("\n")
-            seq = body.replace("\n", "").upper()
+            seq = body.replace("\n", "")
             if seq and part.isascii():
                 rest = seq.encode().translate(None, _BASE_BYTES)
+                if rest:  # lowercase bases, or anything else that is no base
+                    # only what is left, so soft-masked text pays no second pass over all of it
+                    rest = rest.translate(None, _LOWER_BYTES)
+                    if not rest:
+                        seq = seq.upper()
                 # bases only, or under "skip" letters only, which the
                 # per-line rules would drop
                 if not rest or policy == "skip" and rest.isalpha():
@@ -148,8 +173,9 @@ def _parse_fasta(blocks, policy):
                         yield _record(header, parts, header_line)
                     header = None
                     if not rest:
-                        yield FastaRecord(head.strip(), seq, lineno)
-                    lineno += part.count("\n") + 1
+                        yield new(FastaRecord, (head.strip(), seq, lineno))
+                    # the part's lines: the header, and the body's newlines plus one
+                    lineno += len(body) - len(seq) + 2
                     continue
             part = ">" + part
         # anything else goes line by line: the text before the first
@@ -202,14 +228,15 @@ def rank_sequence(sequence: str) -> int:
     """Shortlex rank of a DNA sequence; the empty sequence ranks 0.
 
     Read with A, C, G, T as 0..3, the text is the base-4 offset of its
-    rank from minlex(4, n) = (4**n - 1) // 3, the rank of A*n; ``int``
-    reads power-of-two bases in linear time.
+    rank from minlex(4, n) = (4**n - 1) // 3, the rank of A*n, which is
+    4**n // 3 as 4**n leaves 1 modulo 3; ``int`` reads power-of-two
+    bases in linear time.
     """
     if not sequence:
         return 0
     if sequence.isascii():
         try:
-            return int(sequence.encode().translate(_TO_DIGIT), 4) + ((1 << 2 * len(sequence)) - 1) // 3
+            return int(sequence.encode().translate(_TO_DIGIT), 4) + (1 << 2 * len(sequence)) // 3
         except ValueError:  # a "." from a byte that is not a base
             pass
     rest = sequence.upper().lstrip(BASES)

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeroless import _kernels_py, core, radix
+from zeroless import _kernels_py, arithmetic, core, radix
 from zeroless import (
     LexNumeral,
     ZeroNumeral,
@@ -424,6 +424,32 @@ class TestLatticeMultiply:
                 assert str(info.value) == str(exc)
             else:
                 assert lattice_multiply(a, b, generators=gens) == expected
+
+    def test_traced_lattice_answers_no_sum_before_the_table(self, monkeypatch):
+        # no sum of 6 and k makes k - 3 (it is 1 modulo 6): the split table
+        # used to be filled up to it, a million entries, before saying so
+        tables = []
+
+        class Recorded(arithmetic._Splits):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(arithmetic, "_Splits", Recorded)
+        k = 10**6
+        a = LexNumeral(k, (k - 3,))
+        with pytest.raises(ValueError) as untraced:
+            lattice_multiply(a, a, {6, k})
+        with pytest.raises(ValueError) as traced:
+            lattice_multiply(a, a, {6, k}, trace=True)
+        message = f"cell {k - 3} x {k - 3}: neither digit decomposes into generators [6, {k}]"
+        assert str(traced.value) == str(untraced.value) == message
+        assert len(tables) == 1 and len(tables[0].count) == 1
+
+    def test_long_generator_is_echoed_cut(self):
+        with pytest.raises(ValueError) as exc:
+            lattice_multiply(dx("2"), dx("3"), [int("7" * 100_000)])
+        assert str(exc.value) == f"generator {'7' * 40}... (100000 digits) out of range [1, 10]"
 
     @pytest.mark.parametrize(
         "x, y, gens, parts",

@@ -22,3 +22,7 @@ def test_scale_script_writes_its_json(tmp_path):
         assert set(per_kind) == kinds and all(us > 0 for us in per_kind.values())
     assert set(result["calibration_us"]) == {"python_loop", "str_1e5_digits"}
     assert result["seed"] == 4101 and result["python"]["version"]
+    fasta = result["fasta"]
+    assert (fasta["reads"], fasta["read_bases"], fasta["line_width"]) == (20000, 150, 80)
+    assert set(fasta["us_per_read"]) == {"read_fasta", "read_fasta_rank_sequence", "read_fasta_lowercase"}
+    assert all(us > 0 for us in fasta["us_per_read"].values())

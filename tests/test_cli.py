@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import random
@@ -306,6 +307,11 @@ class TestNaturalArguments:
             ("decode", "-b", "60", "{}x"),
             ("decode", "-b", "60", "[{}x]"),
             ("add", "-b", "60", "[1]", "[2]{}"),
+            # range errors, and argparse's own message for --base
+            ("decode", "-b", "60", "[6{}]"),
+            ("decode", "-b", "6{}", "[0]"),
+            ("mul", "--generators", "6{}", "2", "3"),
+            ("encode", "-b", "{}x", "1"),
         ],
     )
     def test_long_bad_argument_gives_a_short_error(self, capsys, argv):
@@ -434,6 +440,57 @@ def test_rank_non_ascii_byte_after_many_reads(tmp_path):
     for proc in (from_file, from_stdin):
         assert (proc.returncode, proc.stderr) == (1, expected_err)
         assert proc.stdout == expected_out
+
+
+def _seeded_fasta(kind):
+    """FASTA text shaped as the benchmark's inputs, and its records.
+
+    reads: 2000 two-line 150-base reads, about 1% holding an N; contigs:
+    two records at each of 11 lengths from 100 to 30000 bases. Lines are
+    80 bases wide.
+    """
+    rng = random.Random(kind)
+    if kind == "reads":
+        records = []
+        for i in range(2000):
+            seq = "".join(rng.choices("ACGT", k=150))
+            if rng.random() < 0.01:
+                pos = rng.randrange(150)
+                seq = seq[:pos] + "N" + seq[pos + 1 :]
+            records.append((f"read{i}", seq))
+    else:
+        lengths = [round(100 * 300 ** (i / 10)) for i in range(11) for _ in range(2)]
+        records = [(f"contig{i}_len{n}", "".join(rng.choices("ACGT", k=n))) for i, n in enumerate(lengths)]
+    lines = []
+    for rid, seq in records:
+        lines.append(f">{rid}\n")
+        lines.extend(seq[i : i + 80] + "\n" for i in range(0, len(seq), 80))
+    return "".join(lines), records
+
+
+# sha256 of the stdout of `zeroless rank` on _seeded_fasta's inputs, as
+# the reader that built each record with a Python __init__ wrote it
+_RANK_DIGESTS = {
+    ("reads", "skip"): "d7aa37118f1f706d131a4e07d596953103345381c8f6c30ca2aa1fd0e75a70ad",
+    ("contigs", "reject"): "0581e06d485d6b4bf3397811470757c0d888fe8e85edcac34a239c7efba3f46a",
+}
+
+
+@pytest.mark.parametrize("kind, policy", sorted(_RANK_DIGESTS))
+def test_rank_output_is_pinned(capsys, tmp_path, kind, policy):
+    text, records = _seeded_fasta(kind)
+    path = tmp_path / f"{kind}.fa"
+    path.write_text(text)
+    code, out, err = run(capsys, "rank", "--policy", policy, "--fasta", str(path))
+    expected = []
+    for rid, seq in records:
+        if "N" not in seq:
+            rank = 0  # Horner over the digits A=1 .. T=4
+            for base in seq:
+                rank = 4 * rank + "ACGT".index(base) + 1
+            expected.append(f"{rid}\t{rank}\n")
+    assert (code, out, err) == (0, "".join(expected), "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _RANK_DIGESTS[kind, policy]
 
 
 def _exit_and_output(capsys, parse, argv):

@@ -479,6 +479,26 @@ class TestParseFormat:
             message = str(exc.value)
             assert message.startswith(start) and message.endswith(end) and len(message) < 200
 
+    def test_range_errors_cut_the_echoed_value(self):
+        long = "7" * 100_000
+        for read, start, end in [
+            (lambda: parse_lex(f"[1][{long}]", 60), "cipher [7777", "7... (100000 digits)] out of range [1, 60]"),
+            (lambda: parse_zero(f"[{long}]", 60), "cipher [7777", "7... (100000 digits)] out of range [0, 59]"),
+            (lambda: parse_lex("[0]", int(long)), "cipher [0] out of range [1, 7777", "7... (100000 digits)]"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                read()
+            message = str(exc.value)
+            assert message.startswith(start) and message.endswith(end) and len(message) < 200
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.integers(-(10**120), 10**120), st.integers(30, 400).flatmap(
+        lambda e: st.sampled_from([10**e - 1, 10**e, -(10**e), 2**(3 * e), 7 * 10**e // 9]))))
+    def test_echo_int_is_str_cut_after_40_digits(self, n):
+        text = str(abs(n))
+        expected = str(n) if len(text) <= 40 else f"{'-' * (n < 0)}{text[:40]}... ({len(text)} digits)"
+        assert core._echo_int(n) == expected
+
     def test_zero_numeral_text(self):
         assert parse_zero("38070", 10).digits == (3, 8, 0, 7, 0)
         assert parse_zero("[0]", 60).digits == (0,)

@@ -149,6 +149,8 @@ class TestParity:
         # records of letters only, next to comments, "\r" and spaces
         ">a\nAC\n>n1\nACGN\nTT\n>b\nGG\n>n2\nxu\nX\n; c\n>c\r\nT \n>n3\nN\n",
         ">n1\nNN\n>n2\r\nAC\r\nGU\r\n>a\nA\n\n>n3\nn\n>n4 x\nAC\n GT\n",
+        # whole records of lowercase bases, CRLF line ends and trailing blank lines
+        ">a\nacgt\nAC\n\n\n>n\r\nacgn\r\n\r\n>b\r\nGA\r\ntt\r\n\r\n>c x\nacGT\n\n>d\nT\n\n",
     ]
 
     @pytest.mark.parametrize("text", SAMPLES)

@@ -1,6 +1,7 @@
 """Behaviour of the six value types: equality, hash, repr, immutability, copying."""
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -86,6 +87,28 @@ def test_same_fields_other_class_differ():
     assert lex != zero and zero != lex
     assert lex.__eq__(zero) is NotImplemented
     assert len({lex, zero}) == 2
+
+
+def test_record_is_not_the_plain_tuple_of_its_fields():
+    # a tuple underneath, but equal only to records, in both operand orders
+    record, fields = FastaRecord("r1", "ACGT", 3), ("r1", "ACGT", 3)
+    assert record != fields and fields != record
+    assert not record == fields and not fields == record
+    # False, not NotImplemented: tuple's own __eq__ would answer True
+    assert record.__eq__(fields) is False and fields.__eq__(record) is True
+    assert record.__ne__(fields) is True and record.__eq__([*fields]) is NotImplemented
+    assert len({record, fields}) == 2 and tuple(record) == fields
+    # and no order against it either, where tuple's own would answer
+    for a, b in ((record, fields), (fields, record), (record, record)):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(a, b)
+
+
+def test_values_have_no_order(case):
+    make, other, _, _ = case
+    with pytest.raises(TypeError):
+        sorted([make(), other()])
 
 
 @pytest.mark.parametrize("name", HASHABLE)
