@@ -1,4 +1,4 @@
-"""Small-operand and FASTA-read latency of the zeroless library: µs per call.
+"""Small-operand, FASTA-read and table latency of the zeroless library.
 
     python3 bench/scale.py [--calls N] [--repeat R] [--out DIR]
 
@@ -19,6 +19,11 @@ over it alone and with ``rank_sequence`` of each record, and
 text has them, taking turns with the op kinds; the fastest of R passes
 over 20,000 is the µs per read.
 
+The tables section runs ``zeroless table mul -b 300``, human grid and
+``--machine`` rows, through ``cli.main`` in process with stdout on the
+null device, taking turns with the other kinds; the fastest of R passes
+is the ms per table.
+
 The figures, with the machine, the interpreter, the seed and the commit,
 go to DIR/BENCH_<date>_<commit>.json (DIR defaults to this script's
 folder); when ``src`` differs from the commit, the commit is suffixed
@@ -30,6 +35,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
@@ -48,6 +54,8 @@ DIGITS = (1, 12)
 GENERATORS = {"lattice_with_1": (1, 5), "lattice_without_1": (2, 3)}
 SEED = 4101
 READS, READ_BASES, LINE_WIDTH = 20000, 150, 80
+TABLE_BASE = 300
+TABLES = {"multiplication_human": ("mul",), "multiplication_machine": ("mul", "--machine")}
 
 
 def _commit():
@@ -138,9 +146,17 @@ def _read_and_rank(zl, path):
         rank(record.sequence)
 
 
+def _table(zl, argv, sink):
+    zl.build_multiplication_table.cache_clear()  # what a CLI run of its own starts from
+    with contextlib.redirect_stdout(sink):
+        if zl.cli.main(argv):
+            raise RuntimeError(f"zeroless {' '.join(argv)} failed")
+
+
 def measure(calls_per_kind: int, repeat: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import zeroless as zl
+    import zeroless.cli  # zl.cli, for the tables section
 
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
@@ -152,13 +168,16 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
     big = int("7" * 100_000)
     work["python_loop", None] = (_python_loop, [()], 1)
     work["str_1e5_digits", None] = (str, [(big,)], 1)
-    with tempfile.TemporaryDirectory() as folder:
+    with tempfile.TemporaryDirectory() as folder, open(os.devnull, "w") as sink:
         path, lower = os.path.join(folder, "reads.fa"), os.path.join(folder, "lower.fa")
         _write_reads(path)
         _write_reads(lower, "acgt")
         work["read_fasta", "fasta"] = (_read, [(zl, path)], READS)
         work["read_fasta_rank_sequence", "fasta"] = (_read_and_rank, [(zl, path)], READS)
         work["read_fasta_lowercase", "fasta"] = (_read, [(zl, lower)], READS)
+        for name, args in TABLES.items():
+            argv = ["table", *args, "-b", str(TABLE_BASE)]
+            work[name, "tables"] = (_table, [(zl, argv, sink)], 1)
         best = dict.fromkeys(work, float("inf"))
         for _ in range(repeat):  # the kinds take turns, so a slow spell of the host hits them alike
             for key, (fn, args_list, count) in work.items():
@@ -194,13 +213,17 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
                 for name in ("read_fasta", "read_fasta_rank_sequence", "read_fasta_lowercase")
             },
         },
+        "tables": {
+            "base": TABLE_BASE,
+            "ms_per_table": {name: round(best[name, "tables"] * 1e3, 2) for name in TABLES},
+        },
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=300, help="calls per op kind and base")
-    parser.add_argument("--repeat", type=int, default=25, help="timed passes per op kind and per FASTA pass")
+    parser.add_argument("--repeat", type=int, default=25, help="timed passes per op kind, FASTA pass and table")
     parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parent, help="folder for the JSON file")
     args = parser.parse_args(argv)
     if args.calls < 1 or args.repeat < 1:

@@ -131,14 +131,8 @@ def _cmd_convert(args) -> int:
 
 def _cmd_table(args) -> int:
     base, alpha = _alphabet_for(args)
-    if args.machine:  # row by row, never the whole table
-        kind = "addition" if args.op == "add" else "multiplication"
-        for row in tables.stream_rows(kind, base, alpha):
-            sys.stdout.write(row)
-    elif args.op == "add":
-        print(tables.render_table(tables.build_addition_table(base), alpha))
-    else:
-        print(tables.render_table(tables.build_multiplication_table(base), alpha))
+    kind = "addition" if args.op == "add" else "multiplication"
+    sys.stdout.writelines((tables.stream_rows if args.machine else tables.stream_grid)(kind, base, alpha))
     return 0
 
 

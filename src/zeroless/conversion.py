@@ -10,7 +10,7 @@ represented value exactly and are mutually inverse on canonical forms.
 from __future__ import annotations
 
 from zeroless import _backend, radix
-from zeroless.core import LexNumeral, ZeroNumeral
+from zeroless.core import LexNumeral, ZeroNumeral, _echo_int
 
 
 def omega_zero(z: ZeroNumeral) -> int:
@@ -21,9 +21,9 @@ def omega_zero(z: ZeroNumeral) -> int:
 def delta(k: int, n: int) -> ZeroNumeral:
     """Canonical with-zero numeral of a value n >= 0."""
     if n < 0:
-        raise ValueError(f"value must be >= 0, got {n}")
+        raise ValueError(f"value must be >= 0, got {_echo_int(n)}")
     if k < 2:
-        raise ValueError(f"with-zero base must be >= 2, got {k}")
+        raise ValueError(f"with-zero base must be >= 2, got {_echo_int(k)}")
     if n == 0:
         return ZeroNumeral.zero(k)
     return ZeroNumeral(k, radix.split(n, k, radix.ilog(k, n) + 1))

@@ -206,9 +206,9 @@ class LexNumeral(_Frozen):
     def __post_init__(self):
         base, digits = self.base, self.digits
         if base < 1:
-            raise ValueError(f"base must be >= 1, got {base}")
+            raise ValueError(f"base must be >= 1, got {_echo_int(base)}")
         if digits and not (_LEX_TESTS.get(base) or _digit_test(_LEX_TESTS, base, 1))(digits):
-            raise ValueError(f"digits {digits} not all in [1, {base}]")
+            raise ValueError(f"digits {digits} not all in [1, {_echo_int(base)}]")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -241,11 +241,11 @@ class ZeroNumeral(_Frozen):
     def __post_init__(self):
         base, digits = self.base, self.digits
         if base < 2:
-            raise ValueError(f"with-zero base must be >= 2, got {base}")
+            raise ValueError(f"with-zero base must be >= 2, got {_echo_int(base)}")
         if not digits:
             raise ValueError("with-zero numeral needs at least one digit; zero is (0,)")
         if not (_ZERO_TESTS.get(base) or _digit_test(_ZERO_TESTS, base, 0))(digits):
-            raise ValueError(f"digits {digits} not all in [0, {base - 1}]")
+            raise ValueError(f"digits {digits} not all in [0, {_echo_int(base - 1)}]")
         if len(digits) > 1 and digits[0] == 0:
             raise ValueError("leading zero: with-zero numerals are canonical")
 
@@ -308,9 +308,9 @@ def omega_recursive(x: int, a: LexNumeral) -> int:
 def maxlex(k: int, h: int) -> int:
     """Greatest rank representable by strings of length <= h: sum of k^1..k^h."""
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
     if h < 0:
-        raise ValueError(f"length must be >= 0, got {h}")
+        raise ValueError(f"length must be >= 0, got {_echo_int(h)}")
     if k == 1:
         return h
     return k * (k**h - 1) // (k - 1)
@@ -319,9 +319,9 @@ def maxlex(k: int, h: int) -> int:
 def minlex(k: int, h: int) -> int:
     """Smallest rank with representation length h: sum of k^0..k^(h-1)."""
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
     if h < 0:
-        raise ValueError(f"length must be >= 0, got {h}")
+        raise ValueError(f"length must be >= 0, got {_echo_int(h)}")
     if k == 1:
         return h
     return (k**h - 1) // (k - 1)
@@ -341,7 +341,7 @@ def lex_length(k: int, n: int) -> int:
     boundary values such as n == maxlex(k, h) stay exact.
     """
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
     if n < 1:
         raise ValueError("zero is the empty string; it has no length")
     if k == 1:
@@ -361,9 +361,9 @@ def sigma(k: int, n: int) -> LexNumeral:
     instead, which costs less than working out h and minlex.
     """
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
     if n < 0:
-        raise ValueError(f"rank must be >= 0, got {n}")
+        raise ValueError(f"rank must be >= 0, got {_echo_int(n)}")
     if k == 1:
         return LexNumeral(1, (1,) * n)  # unary closed form
     if n == 0:
@@ -400,9 +400,9 @@ def sigma_oracle(k: int, n: int) -> LexNumeral:
     agree everywhere.
     """
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
     if n < 0:
-        raise ValueError(f"rank must be >= 0, got {n}")
+        raise ValueError(f"rank must be >= 0, got {_echo_int(n)}")
     if k == 1:
         return LexNumeral(1, (1,) * n)  # the extraction below degenerates to this
     digits = []
@@ -453,7 +453,7 @@ def _echo_int(n: int) -> str:
     The leading digits of a long one come from dividing off a power of
     ten, not from ``str()``, which before Python 3.12 is quadratic.
     """
-    if -(10**40) < n < 10**40:
+    if not isinstance(n, int) or -(10**40) < n < 10**40:
         return str(n)
     # digits to divide off: log10(2) per bit, floored, less 40, so that at
     # least 40 are left

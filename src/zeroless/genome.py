@@ -14,8 +14,10 @@ whole records, so memory holds one block plus the largest record. A
 record that is a header line and then lines of bases only, or under
 policy "skip" of ASCII letters only, is kept or dropped whole in a few
 C-level string calls (upcased only when it holds lowercase bases);
-any other text follows the per-line rules. A record is a
-tuple-backed ``FastaRecord``, built with one ``tuple.__new__``. Files
+any other text follows the per-line rules, one part at a time. Every
+part after the first starts at a header and runs to the next, so no
+record spans two parts, and a part's open record ends with it. A record
+is a tuple-backed ``FastaRecord``, built with one ``tuple.__new__``. Files
 and binary handles such as stdin's are decoded the same way: as ASCII,
 with universal newlines, and a non-ASCII byte escaped (PEP 383). An
 escaped byte, in a header too, is one more per-line rule: an error that
@@ -29,6 +31,8 @@ import io
 import operator
 import os
 from collections import namedtuple
+
+from zeroless.core import _echo_int
 
 BASES = "ACGT"
 _BASE_BYTES = BASES.encode()
@@ -149,10 +153,6 @@ def _escaped(line):
 
 def _parse_fasta(blocks, policy):
     new = tuple.__new__
-    header = None  # the record open under the per-line rules
-    header_line = 0
-    parts = []
-    drop = False
     lineno = 0  # of the part's first line
     for part in _parts(blocks):
         if lineno:
@@ -169,53 +169,60 @@ def _parse_fasta(blocks, policy):
                 # bases only, or under "skip" letters only, which the
                 # per-line rules would drop
                 if not rest or policy == "skip" and rest.isalpha():
-                    if header is not None and not drop:
-                        yield _record(header, parts, header_line)
-                    header = None
                     if not rest:
                         yield new(FastaRecord, (head.strip(), seq, lineno))
                     # the part's lines: the header, and the body's newlines plus one
                     lineno += len(body) - len(seq) + 2
                     continue
             part = ">" + part
-        # anything else goes line by line: the text before the first
-        # header, comments, "\r", spaces, headers not at the start of a
-        # line, other invalid bases, empty records, non-ASCII bytes
-        for raw in part.split("\n"):
-            # the column of a byte that is not ASCII, if any; the text
-            # before it goes under the rules first
-            bad = 0 if raw.isascii() else _escaped(raw)
-            line = (raw[: bad - 1] if bad else raw).strip()
-            if not line or line[0] == ";":
-                pass
-            elif line[0] == ">":
-                if header is not None and not drop:
-                    yield _record(header, parts, header_line)
-                header = line[1:].strip()
-                header_line = lineno
-                parts = []
-                drop = False
-            elif header is None:
-                raise ValueError(f"line {lineno}: sequence data before the first '>' header")
-            elif not drop:
-                chunk = line.upper()
-                rest = chunk.lstrip(BASES)  # starts at the first invalid base
-                if not rest:
-                    parts.append(chunk)
-                elif policy == "skip":
-                    drop = True
-                else:
-                    col = len(chunk) - len(rest) + 1
-                    raise ValueError(
-                        f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
-                    )
-            if bad:
-                data = raw[:bad].encode("utf-8", "surrogateescape")
-                reason = f"line {lineno}, column {bad}: FASTA text must be ASCII"
-                raise UnicodeDecodeError("ascii", data, len(data) - 1, len(data), reason)
-            lineno += 1
+        lineno = yield from _by_line(part, lineno, policy)
+
+
+def _by_line(part, lineno, policy):
+    """The records of one part, line by line: text before the first header,
+    comments, "\\r", spaces, headers not at the start of a line, invalid
+    bases, empty records, non-ASCII bytes. The part's first line is number
+    ``lineno``; returns the number after its last."""
+    header = None  # the record open
+    header_line = 0
+    parts = []
+    drop = False
+    for raw in part.split("\n"):
+        # the column of a byte that is not ASCII, if any; the text
+        # before it goes under the rules first
+        bad = 0 if raw.isascii() else _escaped(raw)
+        line = (raw[: bad - 1] if bad else raw).strip()
+        if not line or line[0] == ";":
+            pass
+        elif line[0] == ">":
+            if header is not None and not drop:
+                yield _record(header, parts, header_line)
+            header = line[1:].strip()
+            header_line = lineno
+            parts = []
+            drop = False
+        elif header is None:
+            raise ValueError(f"line {lineno}: sequence data before the first '>' header")
+        elif not drop:
+            chunk = line.upper()
+            rest = chunk.lstrip(BASES)  # starts at the first invalid base
+            if not rest:
+                parts.append(chunk)
+            elif policy == "skip":
+                drop = True
+            else:
+                col = len(chunk) - len(rest) + 1
+                raise ValueError(
+                    f"line {lineno}, column {col}: invalid base {rest[0]!r} in record {header!r}"
+                )
+        if bad:
+            data = raw[:bad].encode("utf-8", "surrogateescape")
+            reason = f"line {lineno}, column {bad}: FASTA text must be ASCII"
+            raise UnicodeDecodeError("ascii", data, len(data) - 1, len(data), reason)
+        lineno += 1
     if header is not None and not drop:
         yield _record(header, parts, header_line)
+    return lineno
 
 
 def _record(header, parts, lineno):
@@ -250,7 +257,7 @@ def unrank_sequence(n: int) -> str:
     """
     n = operator.index(n)
     if n < 0:
-        raise ValueError(f"rank must be >= 0, got {n}")
+        raise ValueError(f"rank must be >= 0, got {_echo_int(n)}")
     if n == 0:
         return ""
     h = ((3 * n + 1).bit_length() - 1) // 2  # 4**h <= 3n + 1 < 4**(h+1)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import chain
 
-from zeroless.core import Alphabet, LexNumeral, _Frozen, _set, default_alphabet, format_lex
+from zeroless.core import Alphabet, LexNumeral, _echo_int, _Frozen, _set, default_alphabet, format_lex
 
 _OP_SYMBOL = {"addition": "+", "multiplication": "*"}
 _OP = {"addition": operator.add, "multiplication": operator.mul}
@@ -65,7 +66,7 @@ def _check(kind, k):
     if kind not in _OP:
         raise ValueError(f"unknown table kind {kind!r}")
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {k}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
 
 
 def _build(kind, k):
@@ -95,19 +96,25 @@ def render_table(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> str:
     Digits show in ``alphabet``, as bracket ciphers when it is None, and
     in the base's default symbols when it is left out.
     """
-    k = table.base
-    rendered = _labels(k, alphabet)
-    labels = rendered[1:]
-    grid = [_texts(table, rendered, a) for a in range(1, k + 1)]
-    widths = [max(len(labels[j]), max(len(row[j]) for row in grid)) for j in range(k)]
-    head_w = max(len(table.symbol), max(len(s) for s in labels))
-    lines = []
-    header = [table.symbol.rjust(head_w)] + [labels[j].rjust(widths[j]) for j in range(k)]
-    lines.append("  ".join(header).rstrip())
-    for i in range(k):
-        row = [labels[i].rjust(head_w)] + [grid[i][j].rjust(widths[j]) for j in range(k)]
-        lines.append("  ".join(row).rstrip())
-    return "\n".join(lines)
+    return "".join(stream_grid(table.kind, table.base, alphabet))[:-1]
+
+
+def stream_grid(kind: str, k: int, alphabet: Alphabet | None = _DEFAULT):
+    """The lines of ``render_table``, each ending in a newline, without the
+    table: a first pass over the rows takes the column widths, so memory
+    holds O(k) cells, not k**2."""
+    _check(kind, k)
+    return _grid(kind, k, _labels(k, alphabet))
+
+
+def _grid(kind, k, labels):
+    widths = [len(label) for label in labels[1:]]
+    for cells in _cells(kind, k, labels):
+        widths = list(map(max, widths, map(len, cells)))
+    symbol = _OP_SYMBOL[kind]
+    head_w = max(len(symbol), *map(len, labels))
+    for left, cells in zip([symbol, *labels[1:]], chain([labels[1:]], _cells(kind, k, labels))):
+        yield "  ".join([left.rjust(head_w), *map(str.rjust, cells, widths)]).rstrip() + "\n"
 
 
 def _labels(k, alphabet):
@@ -117,42 +124,32 @@ def _labels(k, alphabet):
     return ["", *(format_lex(LexNumeral(k, (d,)), alphabet) for d in range(1, k + 1))]
 
 
-def _texts(table, labels, a):
-    """The renderings of the results in row ``a``; a numeral renders as
-    its digits' renderings side by side."""
-    entries = table.entries
-    return ["".join(map(labels.__getitem__, entries[(a, b)])) for b in range(1, table.base + 1)]
+def _cells(kind, k, labels):
+    """The renderings of the results, one list per row digit; a numeral
+    renders as its digits' renderings side by side."""
+    for a in range(1, k + 1):
+        yield [labels[high] + labels[low] for high, low in _row(kind, k, a)]
 
 
-def _rows(labels, results):
-    """Lines "a<TAB>b<TAB>result", one row digit's k lines per item.
-
-    ``results(a)`` gives the texts of the results in row ``a``.
-    """
+def _rows(kind, k, labels):
+    """Lines "a<TAB>b<TAB>result", one row digit's k lines per item."""
     rights = [f"\t{label}\t" for label in labels[1:]]
-    for a, left in enumerate(labels[1:], start=1):
-        yield "".join([f"{left}{right}{text}\n" for right, text in zip(rights, results(a))])
+    for left, row in zip(labels[1:], _cells(kind, k, labels)):
+        yield "".join([f"{left}{right}{text}\n" for right, text in zip(rights, row)])
 
 
 def table_rows(table: OpTable, alphabet: Alphabet | None = _DEFAULT):
-    """Machine-oriented lines "a<TAB>b<TAB>result", yielded one row at a time.
-
-    Each item is the k lines of one row digit, every line ending in a
-    newline. ``alphabet`` is read as in ``render_table``.
-    """
-    labels = _labels(table.base, alphabet)
-    return _rows(labels, lambda a: _texts(table, labels, a))
+    """Machine-oriented lines "a<TAB>b<TAB>result", one item per row digit:
+    its k lines, each ending in a newline. ``alphabet`` is read as in
+    ``render_table``."""
+    return stream_rows(table.kind, table.base, alphabet)
 
 
 def stream_rows(kind: str, k: int, alphabet: Alphabet | None = _DEFAULT):
-    """``table_rows(build_<kind>_table(k), alphabet)`` without the table.
-
-    Each row is worked out on its own, so memory holds O(k) entries, not
-    the k**2 of ``OpTable.entries``.
-    """
+    """``table_rows`` for ``kind`` in base ``k``, without the table: each
+    row is worked out on its own, so memory holds O(k) cells, not k**2."""
     _check(kind, k)
-    labels = _labels(k, alphabet)
-    return _rows(labels, lambda a: [labels[high] + labels[low] for high, low in _row(kind, k, a)])
+    return _rows(kind, k, _labels(k, alphabet))
 
 
 def table_entries(table: OpTable, alphabet: Alphabet | None = _DEFAULT) -> list:

@@ -26,3 +26,7 @@ def test_scale_script_writes_its_json(tmp_path):
     assert (fasta["reads"], fasta["read_bases"], fasta["line_width"]) == (20000, 150, 80)
     assert set(fasta["us_per_read"]) == {"read_fasta", "read_fasta_rank_sequence", "read_fasta_lowercase"}
     assert all(us > 0 for us in fasta["us_per_read"].values())
+    tables = result["tables"]
+    assert tables["base"] == 300
+    assert set(tables["ms_per_table"]) == {"multiplication_human", "multiplication_machine"}
+    assert all(ms > 0 for ms in tables["ms_per_table"].values())

@@ -193,6 +193,26 @@ class TestTable:
         for line in out.splitlines():
             assert line == line.rstrip()
 
+    def test_human_grid_streams_in_bounded_memory(self, tmp_path):
+        """A 1200 by 1200 grid, whose k**2 cell texts alone take more, runs within 256 MB of address space.
+
+        The child limits itself, so the limit acts on that process only.
+        """
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+            "from zeroless import cli; "
+            "sys.exit(cli.main(['table', 'mul', '-b', '1200']))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+        with open(tmp_path / "grid.txt", "wb") as out:
+            proc = subprocess.run([sys.executable, "-c", code], stdout=out, stderr=subprocess.PIPE, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        with open(tmp_path / "grid.txt", "rb") as grid:
+            lines = grid.readlines()
+        assert len(lines) == 1201
+        assert lines[-1].split()[-1] == b"[1199][1200]"
+
 
 class TestEnumerate:
     def test_first_five(self, capsys):
@@ -329,6 +349,17 @@ class TestNaturalArguments:
         assert errors[1][:-1] == errors[0][:-1]  # argparse's usage lines, if any
         assert len(errors[1]) == 1 or codes[1] == 2
         assert len(errors[1][-1].encode()) < 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("encode", "-b", "-{}", "1"), ("table", "add", "-b", "-{}"), ("table", "mul", "--machine", "-b", "-{}")],
+    )
+    def test_huge_negative_base_gives_a_short_error(self, capsys, argv):
+        code = main([part.format("7" * 100_000) for part in argv])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: base must be >= 1, got -7777") and err.count("\n") == 1
+        assert len(err.encode()) < 120
 
     @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("1000", 1000), ("9" * 5000, 10**5000 - 1)])
     def test_accepted(self, capsys, text, value):

@@ -491,6 +491,35 @@ class TestParseFormat:
             message = str(exc.value)
             assert message.startswith(start) and message.endswith(end) and len(message) < 200
 
+    def test_base_and_rank_errors_cut_the_echoed_value(self):
+        from zeroless import conversion, genome, tables
+
+        big = int("7" * 100_000)
+        for fail in [
+            lambda: LexNumeral(-big, ()),
+            lambda: LexNumeral(big, (0,)),
+            lambda: ZeroNumeral(-big, (0,)),
+            lambda: ZeroNumeral(big, (-1,)),
+            lambda: core.maxlex(-big, 1),
+            lambda: core.maxlex(2, -big),
+            lambda: core.minlex(-big, 1),
+            lambda: core.minlex(2, -big),
+            lambda: core.lex_length(-big, 1),
+            lambda: core.sigma(-big, 1),
+            lambda: core.sigma(2, -big),
+            lambda: core.sigma_oracle(-big, 1),
+            lambda: core.sigma_oracle(2, -big),
+            lambda: conversion.delta(-big, 1),
+            lambda: conversion.delta(2, -big),
+            lambda: tables.stream_rows("addition", -big),
+            lambda: genome.unrank_sequence(-big),
+        ]:
+            with pytest.raises(ValueError, match=r"7777\.\.\. \(100000 digits\)\]?$") as exc:
+                fail()
+            assert len(str(exc.value)) < 120
+        with pytest.raises(ValueError, match=r"got -1e\+50$"):  # not an int: str() of it
+            LexNumeral(-1e50, ())
+
     @settings(max_examples=300)
     @given(st.one_of(st.integers(-(10**120), 10**120), st.integers(30, 400).flatmap(
         lambda e: st.sampled_from([10**e - 1, 10**e, -(10**e), 2**(3 * e), 7 * 10**e // 9]))))

@@ -5,11 +5,13 @@ from zeroless import (
     LexNumeral,
     build_addition_table,
     build_multiplication_table,
+    default_alphabet,
+    format_lex,
     omega,
     parse_lex,
     sigma,
 )
-from zeroless.tables import OpTable, render_table, stream_rows, table_entries, table_rows
+from zeroless.tables import OpTable, render_table, stream_grid, stream_rows, table_entries, table_rows
 
 # k=4 addition grid over ACGT, row digit first
 ADDITION_4 = """
@@ -170,18 +172,45 @@ class TestRendering:
     @pytest.mark.parametrize("k", [*range(1, 14), 60, 101])
     @pytest.mark.parametrize("kind", ["addition", "multiplication"])
     def test_stream_rows_match_the_built_table(self, kind, k):
+        """The rows, worked out from ``_row``, against the built entries, each formatted on its own."""
         table = (build_addition_table if kind == "addition" else build_multiplication_table)(k)
-        assert list(stream_rows(kind, k)) == list(table_rows(table))
-        assert list(stream_rows(kind, k, None)) == list(table_rows(table, None))
-        if k == 4:
-            acgt = Alphabet.named("acgt")
-            assert list(stream_rows(kind, k, acgt)) == list(table_rows(table, acgt))
+        alphabets = [default_alphabet(k), None] + ([Alphabet.named("acgt")] if k == 4 else [])
+        for alphabet in alphabets:
+
+            def show(digits):
+                return format_lex(LexNumeral(k, digits), alphabet)
+
+            expected = [
+                "".join(f"{show((a,))}\t{show((b,))}\t{show(table.entry(a, b))}\n" for b in range(1, k + 1))
+                for a in range(1, k + 1)
+            ]
+            assert list(stream_rows(kind, k, alphabet)) == expected
+        assert list(stream_rows(kind, k)) == list(stream_rows(kind, k, default_alphabet(k)))
+
+    @pytest.mark.parametrize("k", [1, 4, 11, 60, 101])
+    @pytest.mark.parametrize("kind", ["addition", "multiplication"])
+    def test_grid_cells_are_the_entries(self, kind, k):
+        """Each grid cell is its entry formatted on its own, right-aligned in columns of one width."""
+        table = (build_addition_table if kind == "addition" else build_multiplication_table)(k)
+        for alphabet in (default_alphabet(k), None):
+            lines = render_table(table, alphabet).splitlines()
+            assert "".join(stream_grid(kind, k, alphabet)) == render_table(table, alphabet) + "\n"
+            assert len(lines) == k + 1 and len({len(line) for line in lines}) == 1
+            for a, line in enumerate(lines[1:], start=1):
+                cells = [format_lex(LexNumeral(k, table.entry(a, b)), alphabet) for b in range(1, k + 1)]
+                assert line.split() == [format_lex(LexNumeral(k, (a,)), alphabet), *cells]
 
     def test_stream_rows_guards(self):
         with pytest.raises(ValueError, match="base must be >= 1"):
             stream_rows("addition", 0)
         with pytest.raises(ValueError, match="unknown table kind"):
             stream_rows("division", 4)
+
+    def test_stream_grid_guards(self):
+        with pytest.raises(ValueError, match="base must be >= 1"):
+            stream_grid("addition", 0)
+        with pytest.raises(ValueError, match="unknown table kind"):
+            stream_grid("division", 4)
 
     def test_kind_guard(self):
         with pytest.raises(ValueError):
