@@ -35,12 +35,11 @@ def _integer(text: str) -> int:
 
 
 def _generator_list(text: str) -> tuple:
-    try:
-        return tuple(int(part, 10) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{core._echo(text)} is not a comma-separated list of digits"
-        ) from None
+    """Numbers in ASCII digits, split by commas; ASCII spaces may pad an item."""
+    parts = [part.strip(" ") for part in text.split(",")]
+    if all(part.isascii() and part.isdigit() for part in parts):
+        return tuple(map(int, parts))
+    raise argparse.ArgumentTypeError(f"{core._echo(text)} is not a comma-separated list of digits")
 
 
 def _alphabet_for(args):

@@ -36,6 +36,16 @@ _ASCII_TO_LEX10 = bytes.maketrans(b"0123456789", bytes(range(1, 11)))
 _HORNER_DIGITS = 15
 _SET_BASES = 256  # largest base whose digit set is cached
 _CIPHERS = {str(v): v for v in range(_SET_BASES + 1)}  # bracket cipher: value
+_BRACKETED = tuple(f"[{v}]" for v in range(_SET_BASES + 1))  # value: bracket cipher
+# repunits (10**h - 1) // 9 = minlex(10, h), for every h a rank of at most
+# _PEEL_BITS bits can have, and one more
+_REPUNITS = tuple((10**h - 1) // 9 for h in range(len(str(1 << _PEEL_BITS)) + 2))
+# the length of the least base-10 rank of each bit length: a rank of that
+# bit length has this length or one more, as repunits grow tenfold
+_LEX10_LENGTHS = (0, *(len(str(9 * (1 << b) + 1)) - 1 for b in range(_PEEL_BITS)))
+# an ASCII symbol set shorter than this reads and writes text through byte
+# tables, where this byte marks a character that is no symbol
+_NO_SYMBOL = 255
 _LEX_TESTS = {}  # base: digit test of LexNumeral
 _ZERO_TESTS = {}  # base: digit test of ZeroNumeral
 
@@ -189,8 +199,8 @@ class LexNumeral(_Frozen):
     __slots__ = ("base", "digits")
 
     def __init__(self, base: int, digits: tuple[int, ...]):
-        _set(self, "base", base)
-        _set(self, "digits", tuple(digits))
+        _set_lex_base(self, base)
+        _set_lex_digits(self, tuple(digits))
         self.__post_init__()  # a class attribute, so wrappers see every construction
 
     # written out rather than inherited: numerals are compared and hashed
@@ -225,6 +235,10 @@ class LexNumeral(_Frozen):
         return format_lex(self)
 
 
+# the slots' own setters, which skip object.__setattr__'s lookup by name
+_set_lex_base, _set_lex_digits = LexNumeral.base.__set__, LexNumeral.digits.__set__
+
+
 class ZeroNumeral(_Frozen):
     """Classical with-zero digit string in canonical form (no leading zero).
 
@@ -234,8 +248,8 @@ class ZeroNumeral(_Frozen):
     __slots__ = ("base", "digits")
 
     def __init__(self, base: int, digits: tuple[int, ...]):
-        _set(self, "base", base)
-        _set(self, "digits", tuple(digits))
+        _set_zero_base(self, base)
+        _set_zero_digits(self, tuple(digits))
         self.__post_init__()
 
     def __post_init__(self):
@@ -262,6 +276,9 @@ class ZeroNumeral(_Frozen):
 
     def __str__(self) -> str:
         return format_zero(self)
+
+
+_set_zero_base, _set_zero_digits = ZeroNumeral.base.__set__, ZeroNumeral.digits.__set__
 
 
 def _check_same_base(a, b):
@@ -358,7 +375,9 @@ def sigma(k: int, n: int) -> LexNumeral:
     writes it in base 10 for h <= ``radix.decimal_limit()``; else the
     radix module splits it divide-and-conquer. Ranks of at most
     _PEEL_BITS bits (_PEEL10_BITS in base 10) peel one digit per step
-    instead, which costs less than working out h and minlex.
+    instead, which costs less than working out h and minlex. In base 10
+    a rank of at most _PEEL_BITS bits takes h from its bit length and
+    one comparison with a repunit, and minlex from a table.
     """
     if k < 1:
         raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
@@ -380,12 +399,16 @@ def sigma(k: int, n: int) -> LexNumeral:
         digits.reverse()
         return LexNumeral(k, digits)
     if k == 10:
-        # 9n + 1 is in [10**h, 10**(h+1)); an n of at most _PEEL_BITS bits
-        # has at most 78 digits, below any int/str limit
-        small = bits <= _PEEL_BITS
-        h = len(str(9 * n + 1)) - 1 if small else radix.lex_length(10, n)
-        if small or h <= radix.decimal_limit():
-            text = str(n - (10**h - 1) // 9).zfill(h)
+        if bits <= _PEEL_BITS:  # at most 78 digits, below any int/str limit
+            h = _LEX10_LENGTHS[bits]
+            if n >= _REPUNITS[h + 1]:
+                h += 1
+            low = _REPUNITS[h]
+        else:
+            h = radix.lex_length(10, n)
+            low = (10**h - 1) // 9
+        if bits <= _PEEL_BITS or h <= radix.decimal_limit():
+            text = str(n - low).zfill(h)
             return LexNumeral(10, text.encode().translate(_ASCII_TO_LEX10))
     else:
         h = radix.lex_length(k, n)
@@ -485,7 +508,12 @@ def _scan_brackets(text):
 
 
 def _parse_ciphers(text, base, alphabet, low):
-    """Digit values of a numeral, each required to lie in [low, base+low-1]."""
+    """Digit values of a numeral, each required to lie in [low, base+low-1].
+
+    ASCII text against a symbol set with byte tables is one translate;
+    a byte that maps to no symbol sends it to the scan, which words the
+    error.
+    """
     hi = base + low - 1
     if text[:1] == "[":
         values = list(map(_CIPHERS.get, text[1:-1].split("][")))
@@ -499,6 +527,11 @@ def _parse_ciphers(text, base, alphabet, low):
         raise ValueError(
             f"cannot read {_echo(text)}: no alphabet given, so only bracket ciphers are understood"
         )
+    tables = _byte_tables(alphabet, low)
+    if tables is not None and text.isascii():
+        values = text.encode().translate(tables[1])
+        if _NO_SYMBOL not in values:
+            return values
     index = _symbol_values(alphabet, low)
     try:
         return list(map(index.__getitem__, text))
@@ -518,6 +551,38 @@ def _parse_ciphers(text, base, alphabet, low):
 def _symbol_values(symbols, low):
     """{symbol: digit value} for symbols[i] = i + low; "[" never maps."""
     return {s: i + low for i, s in enumerate(symbols) if s != "["}
+
+
+@functools.lru_cache(maxsize=64)
+def _byte_tables(symbols, low):
+    """Translate tables from digit bytes to symbols and back, for symbols[i] = i + low.
+
+    None unless the symbols are ASCII and fewer than _NO_SYMBOL. The second
+    table maps every byte that ``_symbol_values`` lacks, "[" among them,
+    to _NO_SYMBOL.
+    """
+    text = "".join(symbols)
+    if len(symbols) >= _NO_SYMBOL or not text.isascii():
+        return None
+    to_digit = bytearray([_NO_SYMBOL]) * 256
+    for s, v in _symbol_values(symbols, low).items():
+        to_digit[ord(s)] = v
+    return bytes.maketrans(bytes(range(low, low + len(symbols))), text.encode()), bytes(to_digit)
+
+
+def _symbol_text(digits, symbols, low):
+    """Text of digit values in a symbol set, symbols[i] standing for i + low."""
+    tables = _byte_tables(symbols, low)
+    if tables is not None:
+        return bytes(digits).translate(tables[0]).decode()
+    return "".join([symbols[d - low] for d in digits])
+
+
+def _bracket_text(digits, base):
+    """Text of digit values as bracket ciphers; a bool digit is written as its int."""
+    if base <= _SET_BASES:
+        return "".join(map(_BRACKETED.__getitem__, digits))
+    return "[" + "][".join(map(str, map(operator.index, digits))) + "]"
 
 
 def parse_lex(text: str, base: int | None = None, alphabet: Alphabet | None = None) -> LexNumeral:
@@ -543,10 +608,10 @@ def format_lex(a: LexNumeral, alphabet: Alphabet | None = None) -> str:
     if not a.digits:
         return ZERO_TOKEN
     if alphabet is None:
-        return "[" + "][".join(map(str, a.digits)) + "]"
+        return _bracket_text(a.digits, a.base)
     if alphabet.base != a.base:
         raise ValueError(f"alphabet of size {alphabet.base} cannot render base {a.base}")
-    return "".join(alphabet.symbols[d - 1] for d in a.digits)
+    return _symbol_text(a.digits, alphabet.symbols, 1)
 
 
 def parse_zero(text: str, base: int | None = None, symbols: str | None = None) -> ZeroNumeral:
@@ -571,7 +636,7 @@ def format_zero(a: ZeroNumeral, symbols: str | None = None) -> str:
     if symbols is None and a.base <= 10:
         symbols = _DECIMAL[: a.base]
     if symbols is None:
-        return "[" + "][".join(map(str, a.digits)) + "]"
+        return _bracket_text(a.digits, a.base)
     if len(symbols) != a.base:
         raise ValueError(f"symbol set of size {len(symbols)} cannot render base {a.base}")
-    return "".join(symbols[d] for d in a.digits)
+    return _symbol_text(a.digits, symbols, 0)

@@ -20,6 +20,9 @@ _OP_SYMBOL = {"addition": "+", "multiplication": "*"}
 _OP = {"addition": operator.add, "multiplication": operator.mul}
 # an alphabet argument left out: the base's default symbols (None means brackets)
 _DEFAULT = object()
+# largest base with a table: a table holds O(k) labels and cells while it
+# streams, and at this base both outputs start within 256 MB of address space
+_MAX_BASE = 1 << 18
 
 
 class OpTable(_Frozen):
@@ -67,6 +70,8 @@ def _check(kind, k):
         raise ValueError(f"unknown table kind {kind!r}")
     if k < 1:
         raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
+    if k > _MAX_BASE:
+        raise ValueError(f"table base must be <= {_MAX_BASE}, got {_echo_int(k)}")
 
 
 def _build(kind, k):

@@ -114,6 +114,18 @@ class TestArithmetic:
             run(capsys, "mul", "--generators", "2,five", "3", "3")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", ["\u0663,5", "3_0,5", "+3,5", "-3,5", "3,,5", "3,\t5", "3,5\n", "\uff13,5"])
+    def test_generators_take_ascii_digits_only(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "mul", f"--generators={text}", "6", "6")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"{text!r} is not a comma-separated list of digits\n")
+
+    @pytest.mark.parametrize("text", ["3, 5", " 3 ,5 ", "3,  5", "03,5"])
+    def test_generators_may_be_padded_with_spaces(self, capsys, text):
+        code, out, err = run(capsys, "mul", "--generators", text, "6", "6")
+        assert (code, out, err) == (0, "36\n", "")
+
 
 class TestConvert:
     def test_to_zero(self, capsys):
@@ -212,6 +224,42 @@ class TestTable:
             lines = grid.readlines()
         assert len(lines) == 1201
         assert lines[-1].split()[-1] == b"[1199][1200]"
+
+
+    @pytest.mark.parametrize("machine", [(), ("--machine",)])
+    def test_base_too_large_to_list_is_refused_at_once(self, machine):
+        """A base past the bound gets one error line before any label is built."""
+        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+        for base in ("99999999999999999999", str(tables._MAX_BASE + 1)):
+            argv = [sys.executable, "-m", "zeroless.cli", "table", "add", *machine, "-b", base]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert proc.stderr == f"error: table base must be <= {tables._MAX_BASE}, got {base}\n"
+
+    def test_largest_base_starts_within_the_grid_memory_budget(self):
+        """At the bound, --machine prints its first line, and the human grid passes
+        over rows, within the 256 MB of address space the 1200 grid gets above."""
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+            "from zeroless import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+        base = str(tables._MAX_BASE)
+        for machine in (("--machine",), ()):
+            argv = [sys.executable, "-c", code, "table", "mul", *machine, "-b", base]
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+                try:
+                    if machine:
+                        assert proc.stdout.readline() == b"[1]\t[1]\t[1]\n"
+                    else:  # its first line comes after a pass over all k rows
+                        with pytest.raises(subprocess.TimeoutExpired):
+                            proc.wait(timeout=3)
+                finally:
+                    proc.kill()
+                    _, err = proc.communicate(timeout=30)
+            assert err == b""
 
 
 class TestEnumerate:
