@@ -19,6 +19,10 @@ over it alone and with ``rank_sequence`` of each record, and
 text has them, taking turns with the op kinds; the fastest of R passes
 over 20,000 is the µs per read.
 
+The long-numeral section times ``omega`` and ``sigma`` of one seeded
+base-4 numeral of 10**4 digits and one of 10**5, taking turns with the
+other kinds; the fastest of R passes is the ms per call.
+
 The tables section runs ``zeroless table mul -b 300``, human grid and
 ``--machine`` rows, through ``cli.main`` in process with stdout on the
 null device, taking turns with the other kinds; the fastest of R passes
@@ -55,6 +59,7 @@ GENERATORS = {"lattice_with_1": (1, 5), "lattice_without_1": (2, 3)}
 SEED = 4101
 READS, READ_BASES, LINE_WIDTH = 20000, 150, 80
 TABLE_BASE = 300
+LONG_BASE, LONG_DIGITS = 4, (10**4, 10**5)
 TABLES = {"multiplication_human": ("mul",), "multiplication_machine": ("mul", "--machine")}
 
 
@@ -165,6 +170,10 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
     for k in BASES:
         for kind, (fn, args_list) in _calls(zl, rng, k, calls_per_kind).items():
             work[kind, k] = (fn, args_list, len(args_list))
+    for h in LONG_DIGITS:
+        a = zl.LexNumeral(LONG_BASE, [rng.randint(1, LONG_BASE) for _ in range(h)])
+        work[f"omega_{h}", "long"] = (zl.omega, [(a,)], 1)
+        work[f"sigma_{h}", "long"] = (zl.sigma, [(LONG_BASE, zl.omega(a))], 1)
     big = int("7" * 100_000)
     work["python_loop", None] = (_python_loop, [()], 1)
     work["str_1e5_digits", None] = (str, [(big,)], 1)
@@ -212,6 +221,11 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
                 name: round(best[name, "fasta"] * 1e6, 3)
                 for name in ("read_fasta", "read_fasta_rank_sequence", "read_fasta_lowercase")
             },
+        },
+        "long_numerals": {
+            "base": LONG_BASE,
+            "digits": list(LONG_DIGITS),
+            "ms_per_call": {name: round(seconds * 1e3, 3) for (name, k), seconds in best.items() if k == "long"},
         },
         "tables": {
             "base": TABLE_BASE,

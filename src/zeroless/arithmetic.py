@@ -5,7 +5,7 @@ on the zeroless strings themselves. Full multiplication goes through
 ranks instead: the rank map is a value-preserving bijection, so the
 product is sigma(k, omega(a) * omega(b)), one bignum multiplication
 between two radix conversions. The digit-string schoolbook stays in
-``_kernels_py.multiply_digits`` as the reference it is tested against.
+``_backend.multiply_digits`` as the reference it is tested against.
 Lattice multiplication works on digits by design: its per-cell products
 are collected in with-zero columns, summed with ordinary carries, and
 the finished intermediate is rewritten as a zeroless string at the very
@@ -35,7 +35,7 @@ def add(a: LexNumeral, b: LexNumeral) -> LexNumeral:
 def scale(a: LexNumeral, d: int) -> LexNumeral:
     """Product of a zeroless numeral with a single digit d in [1, base]."""
     if not 1 <= d <= a.base:
-        raise ValueError(f"digit {d} out of range [1, {a.base}]")
+        raise ValueError(f"digit {_echo_int(d)} out of range [1, {_echo_int(a.base)}]")
     if a.is_zero:
         return a
     return LexNumeral(a.base, _backend.scale_digits(a.digits, d, a.base))

@@ -58,7 +58,7 @@ def _alphabet_for(args):
             return alpha.base, alpha
         alpha = core.Alphabet.from_string(choice)
         if base is not None and base != alpha.base:
-            raise ValueError(f"--base {base} disagrees with an alphabet of {alpha.base} symbols")
+            raise ValueError(f"--base {core._echo_int(base)} disagrees with an alphabet of {alpha.base} symbols")
         return alpha.base, alpha
     if base is None:
         base = 10

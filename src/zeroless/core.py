@@ -9,8 +9,8 @@ numeral types, the rank map ``omega`` (string -> position), its inverse
 and formatting for both the zeroless and the classical with-zero kinds.
 
 Ranks are plain Python ints, so genome-sized values need no special
-handling. In base 10 ``omega`` and ``sigma`` go through CPython's
-``int()`` and ``str()``.
+handling. Where ``radix`` has a C route for the digit text of a rank, in
+bases 4 and 10, ``omega`` and ``sigma`` go through it.
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ _ACGT = "ACGT"
 _PEEL_BITS = 256
 # in base 10, str() overtakes the peel from 4-5 digits on CPython 3.10-3.13
 _PEEL10_BITS = 16
-# zeroless decimal digits 1..10 to the ASCII digits of one less, and back
-_LEX10_TO_ASCII = bytes.maketrans(bytes(range(1, 11)), b"0123456789")
-_ASCII_TO_LEX10 = bytes.maketrans(b"0123456789", bytes(range(1, 11)))
 # up to this length omega's Horner loop beats its int() route (they
-# cross at 14-16 digits on CPython 3.10-3.13)
+# cross at 14-16 digits in base 10 on CPython 3.10-3.13)
 _HORNER_DIGITS = 15
 _SET_BASES = 256  # largest base whose digit set is cached
 _CIPHERS = {str(v): v for v in range(_SET_BASES + 1)}  # bracket cipher: value
@@ -159,7 +156,7 @@ class Alphabet(_Frozen):
 
     def symbol(self, value: int) -> str:
         if not 1 <= value <= self.base:
-            raise ValueError(f"digit {value} out of range [1, {self.base}]")
+            raise ValueError(f"digit {_echo_int(value)} out of range [1, {self.base}]")
         return self.symbols[value - 1]
 
     @classmethod
@@ -283,7 +280,7 @@ _set_zero_base, _set_zero_digits = ZeroNumeral.base.__set__, ZeroNumeral.digits.
 
 def _check_same_base(a, b):
     if a.base != b.base:
-        raise ValueError(f"base mismatch: {a.base} != {b.base}")
+        raise ValueError(f"base mismatch: {_echo_int(a.base)} != {_echo_int(b.base)}")
 
 
 def shortlex_compare(a: LexNumeral, b: LexNumeral) -> int:
@@ -299,15 +296,16 @@ def shortlex_compare(a: LexNumeral, b: LexNumeral) -> int:
 def omega(a: LexNumeral) -> int:
     """Shortlex rank of a numeral; the empty numeral ranks 0.
 
-    In base 10 the digits less one are the decimal text of the rank less
-    minlex(10, h), which ``int()`` reads for _HORNER_DIGITS < h <=
-    ``radix.decimal_limit()``.
+    The h digits less one are the with-zero text of the rank less
+    minlex(k, h), which ``int()`` reads for h > _HORNER_DIGITS where
+    ``radix.readable`` says so.
     """
     k, digits = a.base, a.digits
     if k == 1:
         return len(digits)  # unary: every digit is 1
-    if k == 10 and _HORNER_DIGITS < len(digits) <= radix.decimal_limit():
-        return int(bytes(digits).translate(_LEX10_TO_ASCII)) + (10 ** len(digits) - 1) // 9
+    h = len(digits)
+    if h > _HORNER_DIGITS and radix.readable(k, h):
+        return int(bytes(digits).translate(radix.LEX_TO_ASCII), k) + (k**h - 1) // (k - 1)
     return _backend.horner_value(digits, k)
 
 
@@ -318,7 +316,7 @@ def omega_recursive(x: int, a: LexNumeral) -> int:
     with ``omega`` applied to the prepended numeral.
     """
     if not 1 <= x <= a.base:
-        raise ValueError(f"digit {x} out of range [1, {a.base}]")
+        raise ValueError(f"digit {_echo_int(x)} out of range [1, {_echo_int(a.base)}]")
     return x * a.base ** len(a.digits) + omega(a)
 
 
@@ -371,13 +369,13 @@ def sigma(k: int, n: int) -> LexNumeral:
 
     The numerals of length h are the ranks minlex(k, h) onward in
     lexicographic order, so the offset n - minlex(k, h) written as h
-    with-zero digits, each raised by one, is the numeral. ``str()``
-    writes it in base 10 for h <= ``radix.decimal_limit()``; else the
-    radix module splits it divide-and-conquer. Ranks of at most
-    _PEEL_BITS bits (_PEEL10_BITS in base 10) peel one digit per step
-    instead, which costs less than working out h and minlex. In base 10
-    a rank of at most _PEEL_BITS bits takes h from its bit length and
-    one comparison with a repunit, and minlex from a table.
+    with-zero digits, each raised by one, is the numeral: ``radix.text``
+    writes it where a C route exists, else ``radix.split`` splits it
+    divide-and-conquer. Ranks of at most _PEEL_BITS bits (_PEEL10_BITS in
+    base 10) peel one digit per step instead, which costs less than
+    working out h and minlex. In base 10 a rank of at most _PEEL_BITS
+    bits takes h from its bit length and one comparison with a repunit,
+    and minlex from a table.
     """
     if k < 1:
         raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
@@ -398,21 +396,18 @@ def sigma(k: int, n: int) -> LexNumeral:
             digits.append(r + 1)
         digits.reverse()
         return LexNumeral(k, digits)
-    if k == 10:
-        if bits <= _PEEL_BITS:  # at most 78 digits, below any int/str limit
-            h = _LEX10_LENGTHS[bits]
-            if n >= _REPUNITS[h + 1]:
-                h += 1
-            low = _REPUNITS[h]
-        else:
-            h = radix.lex_length(10, n)
-            low = (10**h - 1) // 9
-        if bits <= _PEEL_BITS or h <= radix.decimal_limit():
-            text = str(n - low).zfill(h)
-            return LexNumeral(10, text.encode().translate(_ASCII_TO_LEX10))
+    if k == 10 and bits <= _PEEL_BITS:
+        h = _LEX10_LENGTHS[bits]
+        if n >= _REPUNITS[h + 1]:
+            h += 1
+        off = n - _REPUNITS[h]
     else:
         h = radix.lex_length(k, n)
-    return LexNumeral(k, [d + 1 for d in radix.split(n - minlex(k, h), k, h)])
+        off = n - minlex(k, h)
+    text = radix.text(off, k, h)
+    if text is not None:
+        return LexNumeral(k, text.translate(radix.ASCII_TO_LEX))
+    return LexNumeral(k, [d + 1 for d in radix.split(off, k, h)])
 
 
 def sigma_oracle(k: int, n: int) -> LexNumeral:
@@ -593,7 +588,7 @@ def parse_lex(text: str, base: int | None = None, alphabet: Alphabet | None = No
     """
     if alphabet is not None:
         if base is not None and base != alphabet.base:
-            raise ValueError(f"base {base} disagrees with alphabet of size {alphabet.base}")
+            raise ValueError(f"base {_echo_int(base)} disagrees with alphabet of size {alphabet.base}")
         base = alphabet.base
     if base is None:
         raise ValueError("parsing needs a base or an alphabet")
@@ -610,7 +605,7 @@ def format_lex(a: LexNumeral, alphabet: Alphabet | None = None) -> str:
     if alphabet is None:
         return _bracket_text(a.digits, a.base)
     if alphabet.base != a.base:
-        raise ValueError(f"alphabet of size {alphabet.base} cannot render base {a.base}")
+        raise ValueError(f"alphabet of size {alphabet.base} cannot render base {_echo_int(a.base)}")
     return _symbol_text(a.digits, alphabet.symbols, 1)
 
 
@@ -622,7 +617,7 @@ def parse_zero(text: str, base: int | None = None, symbols: str | None = None) -
     """
     if symbols is not None:
         if base is not None and base != len(symbols):
-            raise ValueError(f"base {base} disagrees with symbol set of size {len(symbols)}")
+            raise ValueError(f"base {_echo_int(base)} disagrees with symbol set of size {len(symbols)}")
         base = len(symbols)
     if base is None:
         raise ValueError("parsing needs a base or a symbol set")
@@ -638,5 +633,5 @@ def format_zero(a: ZeroNumeral, symbols: str | None = None) -> str:
     if symbols is None:
         return _bracket_text(a.digits, a.base)
     if len(symbols) != a.base:
-        raise ValueError(f"symbol set of size {len(symbols)} cannot render base {a.base}")
+        raise ValueError(f"symbol set of size {len(symbols)} cannot render base {_echo_int(a.base)}")
     return _symbol_text(a.digits, symbols, 0)

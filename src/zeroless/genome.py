@@ -4,10 +4,10 @@ A sequence over A, C, G, T is read as a digit string with A=1, C=2,
 G=3, T=4; the empty sequence is zero. Rank and unrank are then the
 shortlex maps in base 4, and comparing sequences shortlex (length
 first, then alphabetically) is exactly comparing their ranks. Both
-directions are linear C-level passes: rank reads the bases as 0123 with
-``int(text, 4)``; unrank writes the offset in hex, widens each hex digit
-to two base-4 digits with a ``bytes.translate`` and a second ``hex()``,
-and maps 0123 to ACGT with one more translate.
+directions are linear C-level passes, each one translate between ACGT
+and the with-zero digits 0123 of the rank's offset from minlex: rank
+reads those with ``int(text, 4)``, and unrank has ``radix.text`` write
+them, as ``core.sigma`` does for a base-4 numeral.
 
 ``read_fasta`` streams its source in 64 KiB blocks and cuts them into
 whole records, so memory holds one block plus the largest record. A
@@ -32,6 +32,7 @@ import operator
 import os
 from collections import namedtuple
 
+from zeroless import radix
 from zeroless.core import _echo_int
 
 BASES = "ACGT"
@@ -43,9 +44,6 @@ _TO_DIGIT = bytes(
     ord("0123"[BASES.index(chr(b).upper())]) if chr(b) in "ACGTacgt" else ord(".") for b in range(256)
 )
 _CHUNK = 1 << 16  # characters read from a FASTA source at a time
-# each hex digit to the byte whose two hex digits are its two base-4
-# digits; then "0123" to bases
-_QUADS = bytes.maketrans(b"0123456789abcdef", bytes((v >> 2) << 4 | v & 3 for v in range(16)))
 _TO_BASE = bytes.maketrans(b"0123", _BASE_BYTES)
 _POLICIES = ("reject", "skip")
 
@@ -261,10 +259,7 @@ def unrank_sequence(n: int) -> str:
     if n == 0:
         return ""
     h = ((3 * n + 1).bit_length() - 1) // 2  # 4**h <= 3n + 1 < 4**(h+1)
-    off = n - ((1 << 2 * h) - 1) // 3
-    # hex digits, each widened to two base-4 digits, then bases, less the pad
-    text = off.to_bytes((h + 3) // 4, "big").hex().encode().translate(_QUADS).hex()
-    return text[len(text) - h :].encode().translate(_TO_BASE).decode()
+    return radix.text(n - ((1 << 2 * h) - 1) // 3, 4, h).translate(_TO_BASE).decode()
 
 
 def sequence_order(a: str, b: str) -> int:

@@ -1,22 +1,23 @@
-"""Divide-and-conquer radix conversion between digit lists and ints.
+"""Radix conversion between ints and digit lists or ASCII digit text.
 
-Long numerals are ranked and unranked here; the DNA codec in ``genome``
-has its own linear path, and ``sigma`` peels the digits of small ranks
-itself. Following Brent & Zimmermann, *Modern Computer Arithmetic*,
+The zeroless numeral of rank n and length h is the h with-zero digits
+of n - minlex(k, h), each raised by one; ``core`` and ``genome`` write
+and read that text through this module alone. ``text`` writes it by C
+conversions, in base 10 by ``str()`` up to ``decimal_limit()`` digits
+and in base 4 by ``hex()`` with each hex digit widened to two base-4
+digits, and ``readable`` says where ``int(text, k)`` reads it back.
+Base 4 is linear; base 10 is quadratic before Python 3.12, but beats
+the loops below up to about 10**4 digits.
+
+Elsewhere, following Brent & Zimmermann, *Modern Computer Arithmetic*,
 §1.7, blocks of ``CUTOFF`` digits go through the plain digit loop, and
-blocks are joined (``value``) or cut (``split``) with the powers
-k**(CUTOFF * 2**i), each the square of the one before. The powers are
-built per call and dropped with it. ``value`` needs only
-multiplications, so it runs in O(M(n) log n) with CPython's Karatsuba
-M(n); ``split`` divides, and before Python 3.12 CPython's long
-division of big ints is schoolbook, so there it stays quadratic in
-machine words, with a far smaller constant than one bignum divmod per
-digit.
-
-In base 10, ``split`` (and ``omega``/``sigma`` in ``core``) use
-CPython's C ``str()``/``int()`` up to ``decimal_limit()`` digits. They
-are quadratic before 3.12 too, but beat the block loops up to about
-10**4 digits.
+blocks are joined (``value``, in every base) or cut (``split``) with
+the powers k**(CUTOFF * 2**i), each the square of the one before, built
+per call. ``value`` needs only multiplications, so it runs in
+O(M(n) log n) with CPython's Karatsuba M(n); ``split`` divides, and
+before Python 3.12 CPython's long division of big ints is schoolbook,
+so there it stays quadratic in machine words, with a far smaller
+constant than one bignum divmod per digit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ CUTOFF = 64
 # CPython's default int/str limit (none before 3.10.7)
 _STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 _limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-_FROM_ASCII = bytes.maketrans(b"0123456789", bytes(range(10)))
+_LEAST_LIMIT = 640  # no int/str limit is below this many digits
+_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+#: ASCII with-zero digits to the zeroless digits one greater, and back
+ASCII_TO_LEX = bytes.maketrans(b"0123456789", bytes(range(1, 11)))
+LEX_TO_ASCII = bytes.maketrans(bytes(range(1, 11)), b"0123456789")
+# each hex digit to the byte whose two hex digits are its two base-4 digits
+_QUADS = bytes.maketrans(b"0123456789abcdef", bytes((v >> 2) << 4 | v & 3 for v in range(16)))
 
 
 def decimal_limit():
@@ -42,6 +49,23 @@ def decimal_limit():
     """
     limit = _limit()
     return limit if 0 < limit < _STR_DIGITS else _STR_DIGITS
+
+
+def text(x, k, h):
+    """The h with-zero digits of 0 <= x < k**h as ASCII bytes, most
+    significant first, or None where no C conversion writes them."""
+    if k == 10 and 0 < h and (h <= _LEAST_LIMIT or h <= decimal_limit()):
+        return str(x).zfill(h).encode()
+    if k == 4:
+        # hex digits, each widened to two base-4 digits, less the pad
+        quads = x.to_bytes((h + 3) // 4, "big").hex().encode().translate(_QUADS).hex()
+        return quads[len(quads) - h :].encode()
+    return None
+
+
+def readable(k, h):
+    """Whether ``int(text, k)`` reads h >= 1 digits as ``text`` writes them."""
+    return k == 4 or k == 10 and (h <= _LEAST_LIMIT or h <= decimal_limit())
 
 
 def value(digits, k):
@@ -76,9 +100,9 @@ def value(digits, k):
 
 def split(x, k, h):
     """The h with-zero digits of 0 <= x < k**h, most significant first."""
-    # no int/str limit is below 640 digits
-    if k == 10 and 0 < h and (h <= CUTOFF or h <= decimal_limit()):
-        return list(str(x).zfill(h).encode().translate(_FROM_ASCII))
+    digits = text(x, k, h)
+    if digits is not None:
+        return list(digits.translate(_VALUES))
     if h <= CUTOFF:
         out = [0] * h
         for i in range(h - 1, -1, -1):

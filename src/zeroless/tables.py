@@ -45,7 +45,7 @@ class OpTable(_Frozen):
         try:
             return self.entries[(a, b)]
         except KeyError:
-            raise ValueError(f"digit pair ({a}, {b}) outside base {self.base}") from None
+            raise ValueError(f"digit pair ({_echo_int(a)}, {_echo_int(b)}) outside base {self.base}") from None
 
     def result(self, a: int, b: int) -> LexNumeral:
         return LexNumeral(self.base, self.entry(a, b))

@@ -26,6 +26,10 @@ def test_scale_script_writes_its_json(tmp_path):
     assert (fasta["reads"], fasta["read_bases"], fasta["line_width"]) == (20000, 150, 80)
     assert set(fasta["us_per_read"]) == {"read_fasta", "read_fasta_rank_sequence", "read_fasta_lowercase"}
     assert all(us > 0 for us in fasta["us_per_read"].values())
+    long_numerals = result["long_numerals"]
+    assert (long_numerals["base"], long_numerals["digits"]) == (4, [10**4, 10**5])
+    assert set(long_numerals["ms_per_call"]) == {"omega_10000", "sigma_10000", "omega_100000", "sigma_100000"}
+    assert all(ms > 0 for ms in long_numerals["ms_per_call"].values())
     tables = result["tables"]
     assert tables["base"] == 300
     assert set(tables["ms_per_table"]) == {"multiplication_human", "multiplication_machine"}

@@ -380,6 +380,7 @@ class TestNaturalArguments:
             ("decode", "-b", "6{}", "[0]"),
             ("mul", "--generators", "6{}", "2", "3"),
             ("encode", "-b", "{}x", "1"),
+            ("encode", "-b", "6{}", "-a", "ABC", "1"),
         ],
     )
     def test_long_bad_argument_gives_a_short_error(self, capsys, argv):

@@ -180,6 +180,13 @@ class TestShortlexCompare:
         with pytest.raises(ValueError):
             shortlex_compare(LexNumeral(4, (1,)), LexNumeral(5, (1,)))
 
+    def test_huge_base_mismatch_is_echoed_cut(self):
+        with pytest.raises(ValueError) as exc:
+            shortlex_compare(LexNumeral(10**100_000 + 7, (1,)), LexNumeral(4, (1,)))
+        message = str(exc.value)
+        assert message.startswith("base mismatch: 1000") and message.endswith("(100001 digits) != 4")
+        assert len(message) < 120
+
 
 class TestOmega:
     def test_paper_values(self, acgt):

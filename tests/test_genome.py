@@ -11,6 +11,7 @@ from zeroless import (
     rank_sequence,
     read_fasta,
     sequence_order,
+    sigma,
     unrank_sequence,
 )
 from zeroless.core import sigma_oracle
@@ -131,6 +132,15 @@ class TestUnrankSequence:
     @given(sequences)
     def test_round_trip(self, seq):
         assert unrank_sequence(rank_sequence(seq)) == seq
+
+    @settings(max_examples=60, deadline=None)
+    @given(ranks(5000))
+    def test_agrees_with_core(self, n):
+        """Genome and core write a rank's base-4 digits with one writer."""
+        a = sigma(4, n)
+        seq = "".join("ACGT"[d - 1] for d in a.digits)
+        assert unrank_sequence(n) == seq
+        assert rank_sequence(seq) == omega(a) == n
 
 
 class TestSequenceOrder:

@@ -64,7 +64,7 @@ class TestValueSplit:
         assert radix.split(x, k, h) == digits
         assert radix.value(digits, k) == x
 
-    @pytest.mark.parametrize("k", (2, 10, 60))
+    @pytest.mark.parametrize("k", (2, 4, 10, 60))
     @pytest.mark.parametrize("h", (1,) + LENGTHS)
     def test_split_extremes(self, k, h):
         assert radix.split(0, k, h) == [0] * h
@@ -73,6 +73,7 @@ class TestValueSplit:
 
     def test_split_of_zero_length(self):
         assert radix.split(0, 10, 0) == []
+        assert radix.split(0, 4, 0) == []
 
 
 class TestIlog:
@@ -108,7 +109,7 @@ class TestLongNumerals:
         assert sigma(k, minlex(k, h)).digits == (1,) * h
         assert sigma(k, maxlex(k, h)).digits == (k,) * h
 
-    @pytest.mark.parametrize("k", (2, 3, 10, 60))
+    @pytest.mark.parametrize("k", (2, 3, 4, 10, 60))
     def test_either_side_of_peeling(self, k):
         edge = 1 << _PEEL_BITS  # sigma peels digits below this size, splits above
         for n in (edge - 2, edge - 1, edge, edge + 1, edge * k):
@@ -186,3 +187,37 @@ class TestDecimalRoute:
         assert radix.split(offset, 10, h) == [d - 1 for d in digits]
         assert radix.value(radix.split(offset, 10, h), 10) == offset
         assert delta(10, n) == ZeroNumeral(10, map(int, str(n)))
+
+
+class TestBase4Route:
+    """Base 4 through hex() widened to base-4 digits and int(text, 4).
+
+    The lengths sit on both sides of omega's Horner cut (_HORNER_DIGITS),
+    CUTOFF and sigma's peel edge: a rank of 256 bits has 128 or 129
+    digits. Four lengths in a row cover each pad the widening strips,
+    h mod 4 being 0 to 3.
+    """
+
+    LENGTHS = (1, 2, 3, 4, 14, 15, 16, 17, 64, 65, 66, 67, 127, 128, 129, 130, 1000, 1001, 1002, 1003)
+
+    @pytest.mark.parametrize("h", LENGTHS)
+    def test_agrees_with_oracles(self, h):
+        rnd = random.Random(h)
+        digits = tuple(rnd.randint(1, 4) for _ in range(h))
+        n = horner(digits, 4)
+        a = sigma(4, n)
+        assert a.digits == digits == sigma_oracle(4, n).digits
+        assert omega(a) == n
+        offset = n - minlex(4, h)
+        assert radix.text(offset, 4, h) == bytes(ord("0") + d - 1 for d in digits)
+        assert radix.split(offset, 4, h) == [d - 1 for d in digits]
+        assert list(delta(4, n).digits) == plain_digits(n, 4)
+
+    @pytest.mark.parametrize("h", LENGTHS)
+    def test_length_edges(self, h):
+        for edge in (minlex(4, h), maxlex(4, h)):
+            for n in (edge - 1, edge, edge + 1):
+                a = sigma(4, n)
+                assert a == sigma_oracle(4, n)
+                assert omega(a) == n
+                assert list(delta(4, n).digits) == (plain_digits(n, 4) or [0])
