@@ -265,41 +265,24 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone.
-
-    A command line that starts with a command needs that command's
-    parser only, and argparse set-up of the others is most of the
-    parser's start-up cost.
-    """
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zeroless",
         description="Zeroless positional numerals: rank, unrank, arithmetic, conversion.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        # the usage that a stray argument prints still names every command
-        # (the full parser keeps no metavar: its errors name "command")
-        every = "{" + ",".join(_COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_arguments, run) in _COMMANDS.items():
-        if command is None or name == command:
-            p = sub.add_parser(name, help=text)
-            add_arguments(p)
-            p.set_defaults(run=run)
+        p = sub.add_parser(name, help=text)
+        add_arguments(p)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    if argv is None:
-        argv = sys.argv[1:]
-    # usage text and unknown commands need the parser with every command
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit

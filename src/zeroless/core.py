@@ -40,8 +40,8 @@ _REPUNITS = tuple((10**h - 1) // 9 for h in range(len(str(1 << _PEEL_BITS)) + 2)
 # the length of the least base-10 rank of each bit length: a rank of that
 # bit length has this length or one more, as repunits grow tenfold
 _LEX10_LENGTHS = (0, *(len(str(9 * (1 << b) + 1)) - 1 for b in range(_PEEL_BITS)))
-# an ASCII symbol set shorter than this reads and writes text through byte
-# tables, where this byte marks a character that is no symbol
+# an ASCII symbol set reads and writes text through byte tables, where this
+# byte marks a character that is no symbol (such a set has at most 92)
 _NO_SYMBOL = 255
 _LEX_TESTS = {}  # base: digit test of LexNumeral
 _ZERO_TESTS = {}  # base: digit test of ZeroNumeral
@@ -57,10 +57,11 @@ class _Frozen:
 
     A subclass names its fields in ``__slots__``, sets them in its
     ``__init__`` with ``object.__setattr__`` and, if they need checks,
-    calls its ``__post_init__`` to make them. It gets a field-wise repr,
-    equality and hash (an instance equals only instances of its own
-    class), copying and pickling through its constructor, and
-    AttributeError on assignment and deletion. Unlike ``dataclasses``,
+    calls its ``__post_init__`` to make them; one that adds no slot keeps
+    its base's fields. It gets a field-wise repr, equality and hash (an
+    instance equals only instances of its own class), copying and
+    pickling through its constructor, and AttributeError on assignment
+    and deletion. Unlike ``dataclasses``,
     this costs the importing process nothing beyond the class itself.
     ``genome.FastaRecord`` keeps these rules but is tuple-backed instead,
     so that the FASTA reader builds each record with one ``tuple.__new__``.
@@ -70,6 +71,8 @@ class _Frozen:
 
     def __init_subclass__(cls):
         names = cls.__slots__
+        if not names:  # no field of its own: the base's stand
+            return
         get = operator.attrgetter(*names)
         # the field values as a tuple, for one field too
         cls._fields = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
@@ -82,7 +85,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._fields(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __eq__(self, other):
@@ -120,10 +123,13 @@ def _digit_test(tests, base, low):
 
 
 class Alphabet(_Frozen):
-    """Ordered display symbols for zeroless digits: symbol i means digit i+1.
+    """Ordered display symbols for the digits of either notation.
 
-    An alphabet is only a view used for parsing and formatting; digits are
-    stored as integers, so any base works without a symbol table.
+    Symbol i is digit i+1 in zeroless text and digit i in with-zero text;
+    the same rules refuse duplicates, non-printable or space characters,
+    "[", "]" and "ε" in both. An alphabet is only a view used for parsing
+    and formatting; digits are stored as integers, so any base works
+    without a symbol table.
     """
 
     __slots__ = ("symbols",)
@@ -187,17 +193,18 @@ def default_alphabet(base: int) -> Alphabet | None:
     return None
 
 
-class LexNumeral(_Frozen):
-    """Zeroless digit string, most significant first; empty means zero.
+class _Numeral(_Frozen):
+    """Digit string in a base, most significant first, in either notation.
 
-    Any iterable of digits is kept as a tuple.
+    Any iterable of digits is kept as a tuple, which each subclass's
+    ``__post_init__`` checks by its notation's rules.
     """
 
     __slots__ = ("base", "digits")
 
     def __init__(self, base: int, digits: tuple[int, ...]):
-        _set_lex_base(self, base)
-        _set_lex_digits(self, tuple(digits))
+        _set_base(self, base)
+        _set_digits(self, tuple(digits))
         self.__post_init__()  # a class attribute, so wrappers see every construction
 
     # written out rather than inherited: numerals are compared and hashed
@@ -210,15 +217,25 @@ class LexNumeral(_Frozen):
     def __hash__(self):
         return hash((self.base, self.digits))
 
+    def __len__(self) -> int:
+        return len(self.digits)
+
+
+# the slots' own setters, which skip object.__setattr__'s lookup by name
+_set_base, _set_digits = _Numeral.base.__set__, _Numeral.digits.__set__
+
+
+class LexNumeral(_Numeral):
+    """Zeroless digit string over 1..base; empty means zero."""
+
+    __slots__ = ()
+
     def __post_init__(self):
         base, digits = self.base, self.digits
         if base < 1:
             raise ValueError(f"base must be >= 1, got {_echo_int(base)}")
         if digits and not (_LEX_TESTS.get(base) or _digit_test(_LEX_TESTS, base, 1))(digits):
             raise ValueError(f"digits {digits} not all in [1, {_echo_int(base)}]")
-
-    def __len__(self) -> int:
-        return len(self.digits)
 
     @property
     def is_zero(self) -> bool:
@@ -232,22 +249,10 @@ class LexNumeral(_Frozen):
         return format_lex(self)
 
 
-# the slots' own setters, which skip object.__setattr__'s lookup by name
-_set_lex_base, _set_lex_digits = LexNumeral.base.__set__, LexNumeral.digits.__set__
+class ZeroNumeral(_Numeral):
+    """Classical with-zero digit string over 0..base-1 in canonical form (no leading zero)."""
 
-
-class ZeroNumeral(_Frozen):
-    """Classical with-zero digit string in canonical form (no leading zero).
-
-    Any iterable of digits is kept as a tuple.
-    """
-
-    __slots__ = ("base", "digits")
-
-    def __init__(self, base: int, digits: tuple[int, ...]):
-        _set_zero_base(self, base)
-        _set_zero_digits(self, tuple(digits))
-        self.__post_init__()
+    __slots__ = ()
 
     def __post_init__(self):
         base, digits = self.base, self.digits
@@ -260,9 +265,6 @@ class ZeroNumeral(_Frozen):
         if len(digits) > 1 and digits[0] == 0:
             raise ValueError("leading zero: with-zero numerals are canonical")
 
-    def __len__(self) -> int:
-        return len(self.digits)
-
     @property
     def is_zero(self) -> bool:
         return self.digits == (0,)
@@ -273,9 +275,6 @@ class ZeroNumeral(_Frozen):
 
     def __str__(self) -> str:
         return format_zero(self)
-
-
-_set_zero_base, _set_zero_digits = ZeroNumeral.base.__set__, ZeroNumeral.digits.__set__
 
 
 def _check_same_base(a, b):
@@ -544,20 +543,19 @@ def _parse_ciphers(text, base, alphabet, low):
 
 @functools.lru_cache(maxsize=64)
 def _symbol_values(symbols, low):
-    """{symbol: digit value} for symbols[i] = i + low; "[" never maps."""
-    return {s: i + low for i, s in enumerate(symbols) if s != "["}
+    """{symbol: digit value} for symbols[i] = i + low."""
+    return {s: i + low for i, s in enumerate(symbols)}
 
 
 @functools.lru_cache(maxsize=64)
 def _byte_tables(symbols, low):
     """Translate tables from digit bytes to symbols and back, for symbols[i] = i + low.
 
-    None unless the symbols are ASCII and fewer than _NO_SYMBOL. The second
-    table maps every byte that ``_symbol_values`` lacks, "[" among them,
-    to _NO_SYMBOL.
+    None unless the symbols are ASCII. The second table maps every byte
+    that is no symbol, "[" among them, to _NO_SYMBOL.
     """
     text = "".join(symbols)
-    if len(symbols) >= _NO_SYMBOL or not text.isascii():
+    if not text.isascii():
         return None
     to_digit = bytearray([_NO_SYMBOL]) * 256
     for s, v in _symbol_values(symbols, low).items():
@@ -609,13 +607,22 @@ def format_lex(a: LexNumeral, alphabet: Alphabet | None = None) -> str:
     return _symbol_text(a.digits, alphabet.symbols, 1)
 
 
-def parse_zero(text: str, base: int | None = None, symbols: str | None = None) -> ZeroNumeral:
+@functools.lru_cache(maxsize=64)
+def _zero_symbols(symbols):
+    """The symbols of an Alphabet, or of a string that passes Alphabet's checks, once per set."""
+    return (symbols if isinstance(symbols, Alphabet) else Alphabet.from_string(symbols)).symbols
+
+
+def parse_zero(text: str, base: int | None = None, symbols: str | Alphabet | None = None) -> ZeroNumeral:
     """Read a canonical with-zero numeral.
 
-    ``symbols`` maps digit value i to symbols[i]; bases up to 10 default
-    to '0'..'9', larger bases to bracket ciphers.
+    ``symbols``, an ``Alphabet`` or a string, gives symbol i to digit i.
+    A string is checked by ``Alphabet``'s rules, which refuse duplicates,
+    non-printable or space characters, "[", "]" and "ε". Without symbols,
+    bases up to 10 read '0'..'9' and larger bases bracket ciphers.
     """
     if symbols is not None:
+        symbols = _zero_symbols(symbols)
         if base is not None and base != len(symbols):
             raise ValueError(f"base {_echo_int(base)} disagrees with symbol set of size {len(symbols)}")
         base = len(symbols)
@@ -626,12 +633,18 @@ def parse_zero(text: str, base: int | None = None, symbols: str | None = None) -
     return ZeroNumeral(base, _parse_ciphers(text, base, symbols, 0))
 
 
-def format_zero(a: ZeroNumeral, symbols: str | None = None) -> str:
-    """Render a with-zero numeral with digit symbols or bracket ciphers."""
-    if symbols is None and a.base <= 10:
+def format_zero(a: ZeroNumeral, symbols: str | Alphabet | None = None) -> str:
+    """Render a with-zero numeral with digit symbols or bracket ciphers.
+
+    ``symbols`` is checked and defaults as for ``parse_zero``: symbol i
+    writes digit i.
+    """
+    if symbols is not None:
+        symbols = _zero_symbols(symbols)
+        if len(symbols) != a.base:
+            raise ValueError(f"symbol set of size {len(symbols)} cannot render base {_echo_int(a.base)}")
+    elif a.base <= 10:
         symbols = _DECIMAL[: a.base]
-    if symbols is None:
+    else:
         return _bracket_text(a.digits, a.base)
-    if len(symbols) != a.base:
-        raise ValueError(f"symbol set of size {len(symbols)} cannot render base {_echo_int(a.base)}")
     return _symbol_text(a.digits, symbols, 0)

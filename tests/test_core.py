@@ -50,6 +50,16 @@ def lex(digits, base=4):
     return LexNumeral(base, tuple(digits))
 
 
+def assert_same_error(first, second):
+    """Both calls raise ValueError with one message."""
+    messages = []
+    for use in (first, second):
+        with pytest.raises(ValueError) as exc:
+            use()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 class TestAlphabet:
     def test_symbol_value_identity(self, acgt):
         for i, s in enumerate(acgt.symbols, start=1):
@@ -65,6 +75,15 @@ class TestAlphabet:
             Alphabet.named("acgt", 5)
         with pytest.raises(ValueError):
             Alphabet.named("klingon")
+        with pytest.raises(ValueError, match=r"^alphabet 'decimal-x' covers bases 1\.\.10$"):
+            Alphabet.named("decimal-x", 11)
+
+    def test_value_and_symbol_errors(self, acgt):
+        with pytest.raises(ValueError, match="^unknown symbol 'N'$"):
+            acgt.value("N")
+        for digit in (0, 5):
+            with pytest.raises(ValueError, match=rf"^digit {digit} out of range \[1, 4\]$"):
+                acgt.symbol(digit)
 
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ValueError):
@@ -101,6 +120,8 @@ class TestNumeralTypes:
     def test_zero_constructors(self):
         assert LexNumeral.zero(4).is_zero
         assert len(LexNumeral.zero(4)) == 0
+        assert len(ZeroNumeral.zero(4)) == 1
+        assert len(ZeroNumeral(10, (1, 0, 0))) == 3
 
 
 # digit values on either side of every range edge the check has: 0 and 1,
@@ -403,9 +424,52 @@ class TestParseFormat:
         assert parse_lex("BA", alphabet=Alphabet.from_string("ABCD")).digits == (2, 1)
         assert parse_zero("BA", symbols="ABCD").digits == (1, 0)
         assert parse_lex("BA", alphabet=Alphabet.from_string("BA")).digits == (1, 2)
-        # "[" is never a symbol, even in a with-zero symbol set
-        with pytest.raises(ValueError, match="cannot be mixed"):
+        # "[" is never a symbol, in a with-zero symbol set as in an alphabet
+        with pytest.raises(ValueError, match="^alphabet symbol '\\[' collides with numeral syntax$"):
             parse_zero("1[", symbols="0[1")
+
+    @pytest.mark.parametrize("symbols", ["00", "0[1", "]1", "0 1", "0ε", "0\t", ""])
+    def test_with_zero_symbols_take_the_alphabet_checks(self, symbols):
+        with pytest.raises(ValueError) as refused:
+            Alphabet.from_string(symbols)
+        for use in (lambda: format_zero(ZeroNumeral(2, (1, 0)), symbols), lambda: parse_zero("00", symbols=symbols)):
+            with pytest.raises(ValueError) as exc:
+                use()
+            assert str(exc.value) == str(refused.value)
+
+    @pytest.mark.parametrize("symbols", ["01", "ACGT", "0123456789", "αβγ", "XYZabc!"])
+    def test_with_zero_symbols_as_an_alphabet(self, symbols):
+        from zeroless.conversion import delta
+
+        alpha, k = Alphabet.from_string(symbols), len(symbols)
+        for n in range(k**3 + 2 * k):
+            z = delta(k, n)
+            text = format_zero(z, symbols)
+            assert format_zero(z, alpha) == text
+            assert parse_zero(text, symbols=alpha) == parse_zero(text, symbols=symbols) == z
+            assert parse_zero(text, k, alpha) == z
+            for bad in (text + "[", text + "ε", text + "?"):
+                assert_same_error(lambda: parse_zero(bad, symbols=alpha), lambda: parse_zero(bad, symbols=symbols))
+        wide = ZeroNumeral(k + 1, (1,))
+        assert_same_error(lambda: format_zero(wide, alpha), lambda: format_zero(wide, symbols))
+        assert_same_error(lambda: parse_zero("1", k + 1, alpha), lambda: parse_zero("1", k + 1, symbols))
+
+    @pytest.mark.parametrize(
+        "use, message",
+        [
+            (lambda: parse_zero("10", 3, "01"), "base 3 disagrees with symbol set of size 2"),
+            (lambda: parse_zero("10"), "parsing needs a base or a symbol set"),
+            (lambda: format_zero(ZeroNumeral(10, (1, 0)), "01"), "symbol set of size 2 cannot render base 10"),
+            (
+                lambda: format_zero(ZeroNumeral(3, (1, 0)), Alphabet.from_string("01")),
+                "symbol set of size 2 cannot render base 3",
+            ),
+        ],
+    )
+    def test_with_zero_argument_errors(self, use, message):
+        with pytest.raises(ValueError) as exc:
+            use()
+        assert str(exc.value) == message
 
     def test_format_needs_matching_alphabet(self, acgt):
         with pytest.raises(ValueError):

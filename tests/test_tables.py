@@ -81,6 +81,13 @@ class TestAdditionTable:
     def test_out_of_range_pair(self):
         with pytest.raises(ValueError):
             build_addition_table(4).entry(0, 1)
+        with pytest.raises(ValueError, match=r"^digit pair \(5, 1\) outside base 4$"):
+            build_addition_table(4).result(5, 1)
+
+    def test_result_and_symbol(self):
+        table = build_addition_table(4)
+        assert table.result(4, 4) == LexNumeral(4, (1, 4))
+        assert (table.symbol, build_multiplication_table(4).symbol) == ("+", "*")
 
 
 class TestMultiplicationTable:

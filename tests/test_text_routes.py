@@ -1,9 +1,9 @@
 """Numeral text through byte tables and bracket tuples, against per-symbol loops.
 
 ``format_lex``/``parse_lex`` and ``format_zero``/``parse_zero`` read and
-write ASCII symbol sets of fewer than 255 symbols with ``bytes.translate``,
-bracket ciphers up to base 256 from a tuple, and base-10 ``sigma`` below
-256 bits from tables of lengths and repunits. The oracles here are the
+write ASCII symbol sets, which Alphabet's rules keep to 92 symbols, with
+``bytes.translate``, bracket ciphers up to base 256 from a tuple, and
+base-10 ``sigma`` below 256 bits from tables of lengths and repunits. The oracles here are the
 loops those routes replaced.
 """
 
@@ -39,7 +39,7 @@ def text_of(digits, symbols, low):
 
 def values_of(text, symbols, low):
     """Digit values of symbol text, or the ValueError text of the first bad character."""
-    index = {s: i + low for i, s in enumerate(symbols) if s != "["}
+    index = {s: i + low for i, s in enumerate(symbols)}
     for pos, ch in enumerate(text):
         if ch == "[":
             return f"unexpected character '[' at position {pos}: bracket and symbol ciphers cannot be mixed"
@@ -81,16 +81,26 @@ def test_ascii_alphabets_match_the_symbol_loops(size):
         assert outcome(lambda: parse_lex(bad, alphabet=alpha)) == values_of(bad, symbols, 1)
 
 
-@pytest.mark.parametrize("size", [2, 3, 10, 47, 93, 94])
+@pytest.mark.parametrize("size", [2, 3, 10, 47, 92, 93, 94])
 def test_ascii_with_zero_symbols_match_the_symbol_loops(size):
     rng = random.Random(size)
-    symbols = "".join(rng.sample(PRINTABLE, size))  # "[" and "]" may be among them here
+    if size > len(SYMBOLS):  # then "[" or "]" is among the symbols, which refuse them
+        symbols = "".join(rng.sample(PRINTABLE, size))
+        for use in (lambda: format_zero(ZeroNumeral(size, (1,)), symbols), lambda: parse_zero("1", symbols=symbols)):
+            with pytest.raises(ValueError, match=r"^alphabet symbol '[][]' collides with numeral syntax$"):
+                use()
+        return
+    symbols = "".join(rng.sample(SYMBOLS, size))
+    alpha = Alphabet.from_string(symbols)
+    strays = [rng.choice(PRINTABLE), "[", " ", "é", "ε"]
     for _ in range(20):
         digits = zero_digits(rng, size)
         text = format_zero(ZeroNumeral(size, digits), symbols)
-        assert text == text_of(digits, symbols, 0)
-        if text[0] != "[":  # else the text reads as bracket ciphers
-            assert outcome(lambda: parse_zero(text, symbols=symbols)) == values_of(text, symbols, 0)
+        assert text == text_of(digits, symbols, 0) == format_zero(ZeroNumeral(size, digits), alpha)
+        assert outcome(lambda: parse_zero(text, symbols=symbols)) == values_of(text, symbols, 0) == digits
+        bad = text + rng.choice(strays) + text
+        assert outcome(lambda: parse_zero(bad, symbols=symbols)) == values_of(bad, symbols, 0)
+        assert outcome(lambda: parse_zero(bad, symbols=alpha)) == values_of(bad, symbols, 0)
 
 
 @pytest.mark.parametrize("symbols", ["αβγ", "aβc", "Aé", "0λ1", "𝟘𝟙"])
@@ -155,16 +165,18 @@ def test_bracket_float_digits_are_a_type_error():
 @pytest.mark.parametrize("size", [254, 255, 256])
 @pytest.mark.parametrize("kind", ["ascii", "non_ascii"])
 def test_long_with_zero_symbol_sets(size, kind):
-    # an ASCII set this long repeats symbols; the last index of a symbol wins
-    pool = PRINTABLE * 3 if kind == "ascii" else "".join(map(chr, range(0x100, 0x300)))
-    symbols = pool[:size]
+    if kind == "ascii":  # an ASCII set this long repeats symbols, which the checks refuse
+        symbols = (PRINTABLE * 3)[:size]
+        for use in (lambda: format_zero(ZeroNumeral(size, (1,)), symbols), lambda: parse_zero("1", symbols=symbols)):
+            with pytest.raises(ValueError, match="^alphabet symbols must be pairwise distinct$"):
+                use()
+        return
+    symbols = "".join(map(chr, range(0x100, 0x100 + size)))
     rng = random.Random(size)
     for _ in range(10):
         digits = zero_digits(rng, size)
         text = format_zero(ZeroNumeral(size, digits), symbols)
         assert text == text_of(digits, symbols, 0)
-        if text[0] == "[":  # the text reads as bracket ciphers
-            continue
         assert outcome(lambda: parse_zero(text, symbols=symbols)) == values_of(text, symbols, 0)
         bad = text + "[" + text
         assert outcome(lambda: parse_zero(bad, symbols=symbols)) == values_of(bad, symbols, 0)
