@@ -1,10 +1,11 @@
 """Value-preserving conversion between zeroless and with-zero numerals.
 
-The two directions are single digit sweeps. Going to with-zero, every
-digit k becomes 0 with a carry into the next position; going to
-zeroless, every 0 borrows from the next position and becomes k, and a
-leading digit that empties out is dropped. Both directions preserve the
-represented value exactly and are mutually inverse on canonical forms.
+``omega_zero`` and ``delta`` take the routes of ``omega`` and ``sigma``,
+through ``radix``. The theta maps are single digit sweeps. Going to
+with-zero, every digit k becomes 0 with a carry into the next position;
+going to zeroless, every 0 borrows from the next position and becomes
+k, and a leading digit that empties out is dropped. Both directions
+preserve the value exactly and are mutually inverse on canonical forms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from zeroless.core import LexNumeral, ZeroNumeral, _echo_int
 
 def omega_zero(z: ZeroNumeral) -> int:
     """Value of a with-zero numeral (ordinary radix evaluation)."""
-    return _backend.horner_value(z.digits, z.base)
+    return radix.number(z.digits, z.base, 0)
 
 
 def delta(k: int, n: int) -> ZeroNumeral:
@@ -24,9 +25,7 @@ def delta(k: int, n: int) -> ZeroNumeral:
         raise ValueError(f"value must be >= 0, got {_echo_int(n)}")
     if k < 2:
         raise ValueError(f"with-zero base must be >= 2, got {_echo_int(k)}")
-    if n == 0:
-        return ZeroNumeral.zero(k)
-    return ZeroNumeral(k, radix.split(n, k, radix.ilog(k, n) + 1))
+    return ZeroNumeral(k, (n,) if n < k else radix.digits(n, k, 0))
 
 
 def theta_lex_to_zero(a: LexNumeral) -> ZeroNumeral:

@@ -9,8 +9,8 @@ numeral types, the rank map ``omega`` (string -> position), its inverse
 and formatting for both the zeroless and the classical with-zero kinds.
 
 Ranks are plain Python ints, so genome-sized values need no special
-handling. Where ``radix`` has a C route for the digit text of a rank, in
-bases 4 and 10, ``omega`` and ``sigma`` go through it.
+handling. ``omega`` and ``sigma`` convert between ranks and digits in
+``radix``, which chooses the route by base and length.
 """
 
 from __future__ import annotations
@@ -23,23 +23,9 @@ from zeroless import _backend, radix
 _DECIMAL_X = "123456789X"  # zeroless decimal ciphers, X = ten
 _DECIMAL = "0123456789"
 _ACGT = "ACGT"
-# sigma peels digits one by one below this rank size; measured on CPython
-# 3.11 the divide-and-conquer split only pays from 400-600 bits on
-_PEEL_BITS = 256
-# in base 10, str() overtakes the peel from 4-5 digits on CPython 3.10-3.13
-_PEEL10_BITS = 16
-# up to this length omega's Horner loop beats its int() route (they
-# cross at 14-16 digits in base 10 on CPython 3.10-3.13)
-_HORNER_DIGITS = 15
 _SET_BASES = 256  # largest base whose digit set is cached
 _CIPHERS = {str(v): v for v in range(_SET_BASES + 1)}  # bracket cipher: value
 _BRACKETED = tuple(f"[{v}]" for v in range(_SET_BASES + 1))  # value: bracket cipher
-# repunits (10**h - 1) // 9 = minlex(10, h), for every h a rank of at most
-# _PEEL_BITS bits can have, and one more
-_REPUNITS = tuple((10**h - 1) // 9 for h in range(len(str(1 << _PEEL_BITS)) + 2))
-# the length of the least base-10 rank of each bit length: a rank of that
-# bit length has this length or one more, as repunits grow tenfold
-_LEX10_LENGTHS = (0, *(len(str(9 * (1 << b) + 1)) - 1 for b in range(_PEEL_BITS)))
 # an ASCII symbol set reads and writes text through byte tables, where this
 # byte marks a character that is no symbol (such a set has at most 92)
 _NO_SYMBOL = 255
@@ -293,19 +279,11 @@ def shortlex_compare(a: LexNumeral, b: LexNumeral) -> int:
 
 
 def omega(a: LexNumeral) -> int:
-    """Shortlex rank of a numeral; the empty numeral ranks 0.
-
-    The h digits less one are the with-zero text of the rank less
-    minlex(k, h), which ``int()`` reads for h > _HORNER_DIGITS where
-    ``radix.readable`` says so.
-    """
+    """Shortlex rank of a numeral; the empty numeral ranks 0."""
     k, digits = a.base, a.digits
     if k == 1:
         return len(digits)  # unary: every digit is 1
-    h = len(digits)
-    if h > _HORNER_DIGITS and radix.readable(k, h):
-        return int(bytes(digits).translate(radix.LEX_TO_ASCII), k) + (k**h - 1) // (k - 1)
-    return _backend.horner_value(digits, k)
+    return radix.number(digits, k, 1)
 
 
 def omega_recursive(x: int, a: LexNumeral) -> int:
@@ -321,13 +299,7 @@ def omega_recursive(x: int, a: LexNumeral) -> int:
 
 def maxlex(k: int, h: int) -> int:
     """Greatest rank representable by strings of length <= h: sum of k^1..k^h."""
-    if k < 1:
-        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
-    if h < 0:
-        raise ValueError(f"length must be >= 0, got {_echo_int(h)}")
-    if k == 1:
-        return h
-    return k * (k**h - 1) // (k - 1)
+    return k * minlex(k, h)
 
 
 def minlex(k: int, h: int) -> int:
@@ -368,13 +340,7 @@ def sigma(k: int, n: int) -> LexNumeral:
 
     The numerals of length h are the ranks minlex(k, h) onward in
     lexicographic order, so the offset n - minlex(k, h) written as h
-    with-zero digits, each raised by one, is the numeral: ``radix.text``
-    writes it where a C route exists, else ``radix.split`` splits it
-    divide-and-conquer. Ranks of at most _PEEL_BITS bits (_PEEL10_BITS in
-    base 10) peel one digit per step instead, which costs less than
-    working out h and minlex. In base 10 a rank of at most _PEEL_BITS
-    bits takes h from its bit length and one comparison with a repunit,
-    and minlex from a table.
+    with-zero digits, each raised by one, is the numeral.
     """
     if k < 1:
         raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
@@ -382,31 +348,7 @@ def sigma(k: int, n: int) -> LexNumeral:
         raise ValueError(f"rank must be >= 0, got {_echo_int(n)}")
     if k == 1:
         return LexNumeral(1, (1,) * n)  # unary closed form
-    if n == 0:
-        return LexNumeral(k, ())
-    if n <= k:
-        return LexNumeral(k, (n,))
-    bits = n.bit_length()
-    if bits <= (_PEEL10_BITS if k == 10 else _PEEL_BITS):
-        # n - 1 = q*k + r: the last digit is r + 1 and q ranks the rest
-        digits = []
-        while n:
-            n, r = divmod(n - 1, k)
-            digits.append(r + 1)
-        digits.reverse()
-        return LexNumeral(k, digits)
-    if k == 10 and bits <= _PEEL_BITS:
-        h = _LEX10_LENGTHS[bits]
-        if n >= _REPUNITS[h + 1]:
-            h += 1
-        off = n - _REPUNITS[h]
-    else:
-        h = radix.lex_length(k, n)
-        off = n - minlex(k, h)
-    text = radix.text(off, k, h)
-    if text is not None:
-        return LexNumeral(k, text.translate(radix.ASCII_TO_LEX))
-    return LexNumeral(k, [d + 1 for d in radix.split(off, k, h)])
+    return LexNumeral(k, (n,) if 0 < n <= k else radix.digits(n, k, 1))
 
 
 def sigma_oracle(k: int, n: int) -> LexNumeral:

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zeroless import _backend, arithmetic, core, radix
+from zeroless import _backend, arithmetic, radix
 from zeroless import (
     LexNumeral,
     ZeroNumeral,
@@ -209,7 +209,7 @@ class TestMultiplyMatchesSchoolbook:
         a, b = (LexNumeral(k, tuple(rng.choices(range(1, k + 1), k=n))) for n in lengths)
         assert max(lengths) > radix.CUTOFF
         if k > 1:  # sigma's divide-and-conquer branch, not its digit peel
-            assert (omega(a) * omega(b)).bit_length() > core._PEEL_BITS
+            assert (omega(a) * omega(b)).bit_length() > radix.PEEL_BITS
         assert multiply(a, b).digits == schoolbook(a, b)
 
 

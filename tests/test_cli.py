@@ -573,33 +573,51 @@ def test_rank_output_is_pinned(capsys, tmp_path, kind, policy):
     assert hashlib.sha256(out.encode()).hexdigest() == _RANK_DIGESTS[kind, policy]
 
 
-def _exit_and_output(capsys, parse, argv):
-    """(exit code, stdout, stderr) of a parse that ends the program."""
-    with pytest.raises(SystemExit) as exc:
-        parse(argv)
-    return (exc.value.code, *capsys.readouterr())
+_OPTIONS = "[-h] [--base BASE] [--alphabet ALPHABET]"
+_NAMES = ("encode", "decode", "succ", "pred", "add", "mul", "convert", "table", "enumerate", "rank", "unrank")
+# argv: (exit code, last stderr line of an error or first stdout line)
+_PARSER_EXITS = {
+    (): (2, "zeroless: error: the following arguments are required: command"),
+    ("--help",): (0, f"usage: zeroless [-h] [--version] {{{','.join(_NAMES)}}} ..."),
+    ("--version",): (0, "zeroless 0.1.0"),
+    ("bogus",): (
+        2,
+        f"zeroless: error: argument command: invalid choice: 'bogus' (choose from {', '.join(map(repr, _NAMES))})",
+    ),
+    ("encode", "-h"): (0, f"usage: zeroless encode {_OPTIONS} value"),
+    ("decode", "-h"): (0, f"usage: zeroless decode {_OPTIONS} numeral"),
+    ("succ", "-h"): (0, f"usage: zeroless succ {_OPTIONS} numeral"),
+    ("pred", "-h"): (0, f"usage: zeroless pred {_OPTIONS} numeral"),
+    ("add", "-h"): (0, f"usage: zeroless add {_OPTIONS} x y"),
+    ("mul", "-h"): (0, f"usage: zeroless mul {_OPTIONS} [--lattice] [--generators GENERATORS] [--trace] x y"),
+    ("convert", "-h"): (0, f"usage: zeroless convert {_OPTIONS} --to {{zero,lex}} numeral"),
+    ("table", "-h"): (0, f"usage: zeroless table {_OPTIONS} [--machine] {{add,mul}}"),
+    ("enumerate", "-h"): (0, f"usage: zeroless enumerate {_OPTIONS} --count COUNT"),
+    ("rank", "-h"): (0, "usage: zeroless rank [-h] [--fasta FASTA] [--policy {reject,skip}]"),
+    ("unrank", "-h"): (0, "usage: zeroless unrank [-h] rank"),
+    # errors raised once a subcommand's parser ran
+    ("encode", "1", "2"): (2, "zeroless: error: unrecognized arguments: 2"),
+    ("mul", "--bogus", "1", "2"): (2, "zeroless: error: unrecognized arguments: --bogus"),
+    ("rank", "--version"): (2, "zeroless: error: unrecognized arguments: --version"),
+    ("unrank",): (2, "zeroless unrank: error: the following arguments are required: rank"),
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["--help"],
-        ["--version"],
-        ["bogus"],
-        *([command, "-h"] for command in cli._COMMANDS),
-        # errors raised once one subcommand's parser ran
-        ["encode", "1", "2"],
-        ["mul", "--bogus", "1", "2"],
-        ["rank", "--version"],
-        ["unrank"],
-    ],
-)
+@pytest.mark.parametrize("argv", [list(argv) for argv in _PARSER_EXITS])
 def test_one_subcommand_parser_prints_what_the_full_one_does(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    assert len(cli._COMMANDS) == 11
-    full = _exit_and_output(capsys, cli._build_parser().parse_args, argv)
-    assert _exit_and_output(capsys, main, argv) == full
+    """Exit code and line of each usage error, help and version request.
+
+    The name predates the single parser. A wide terminal keeps each usage
+    on one line. Quotes are left out of the comparison, as later argparse
+    releases stop quoting the choices.
+    """
+    monkeypatch.setenv("COLUMNS", "250")
+    code, line = _PARSER_EXITS[tuple(argv)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    printed = err.splitlines()[-1] if code else out.splitlines()[0]
+    assert (exc.value.code, printed.replace("'", "")) == (code, line.replace("'", ""))
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -9,6 +9,7 @@ from zeroless import (
     omega_zero,
     parse_lex,
     parse_zero,
+    radix,
     sigma,
     theta_lex_to_zero,
     theta_zero_to_lex,
@@ -22,8 +23,9 @@ def dx(text):
 
 
 @st.composite
-def base_and_value(draw, max_value=10**30):
-    k = draw(st.integers(2, 60))
+def base_and_value(draw, max_value=2 ** (2 * radix.PEEL_BITS)):
+    """A base, 2..60 or either side of 256, and a value on both sides of the peel."""
+    k = draw(st.one_of(st.integers(2, 60), st.sampled_from((256, 257))))
     n = draw(st.integers(0, max_value))
     return k, n
 

@@ -20,12 +20,14 @@ from zeroless import (
     maxlex,
     minlex,
     omega,
+    omega_zero,
     radix,
     sigma,
     theta_lex_to_zero,
     theta_zero_to_lex,
 )
-from zeroless.core import _PEEL10_BITS, _PEEL_BITS, sigma_oracle
+from zeroless.core import sigma_oracle
+from zeroless.radix import PEEL10_BITS, PEEL_BITS
 
 C = radix.CUTOFF
 LENGTHS = (C - 1, C, C + 1, 2 * C, 2 * C + 1, 1000, 5000)
@@ -111,14 +113,18 @@ class TestLongNumerals:
 
     @pytest.mark.parametrize("k", (2, 3, 4, 10, 60))
     def test_either_side_of_peeling(self, k):
-        edge = 1 << _PEEL_BITS  # sigma peels digits below this size, splits above
+        edge = 1 << PEEL_BITS  # sigma and delta peel digits below this size, split above
         for n in (edge - 2, edge - 1, edge, edge + 1, edge * k):
             assert sigma(k, n) == sigma_oracle(k, n)
+            assert list(delta(k, n).digits) == plain_digits(n, k)
+            assert omega_zero(delta(k, n)) == n
 
     def test_either_side_of_decimal_peeling(self):
-        edge = 1 << _PEEL10_BITS  # base 10 peels below this size, writes str() above
+        edge = 1 << PEEL10_BITS  # base 10 peels below this size, writes str() above
         for n in (edge - 2, edge - 1, edge, edge + 1, edge * 10):
             assert sigma(10, n) == sigma_oracle(10, n)
+            assert list(delta(10, n).digits) == plain_digits(n, 10)
+            assert omega_zero(delta(10, n)) == n
 
     @given(st.sampled_from(BASES), st.sampled_from(LENGTHS), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -140,9 +146,9 @@ class TestDecimalRoute:
     """Base 10 through int()/str(), up to radix.decimal_limit() digits.
 
     Numerals of up to the limit take the decimal route, longer ones the
-    block loops; the lengths sit on both sides of omega's Horner cut
-    (_HORNER_DIGITS), CUTOFF, the lowest limit CPython allows (640) and
-    its default (4300).
+    block loops; the lengths sit on both sides of the Horner cut of
+    omega and omega_zero (radix.HORNER_DIGITS), CUTOFF, the lowest limit
+    CPython allows (640) and its default (4300).
     """
 
     LENGTHS = (1, 2, 15, 16, 63, 64, 65, 639, 640, 641, 4299, 4300, 4301, 6000)
@@ -171,6 +177,7 @@ class TestDecimalRoute:
             assert radix.split(n - minlex(10, h), 10, h) == offset
             z = delta(10, n)
             assert list(z.digits) == zero
+            assert omega_zero(z) == n
             assert theta_lex_to_zero(a) == z
             assert theta_zero_to_lex(z) == a
             for m in (minlex(10, h), maxlex(10, h)):
@@ -192,10 +199,10 @@ class TestDecimalRoute:
 class TestBase4Route:
     """Base 4 through hex() widened to base-4 digits and int(text, 4).
 
-    The lengths sit on both sides of omega's Horner cut (_HORNER_DIGITS),
-    CUTOFF and sigma's peel edge: a rank of 256 bits has 128 or 129
-    digits. Four lengths in a row cover each pad the widening strips,
-    h mod 4 being 0 to 3.
+    The lengths sit on both sides of the Horner cut of omega and
+    omega_zero (radix.HORNER_DIGITS), CUTOFF and the peel edge of sigma
+    and delta: a rank of 256 bits has 128 or 129 digits. Four lengths in
+    a row cover each pad the widening strips, h mod 4 being 0 to 3.
     """
 
     LENGTHS = (1, 2, 3, 4, 14, 15, 16, 17, 64, 65, 66, 67, 127, 128, 129, 130, 1000, 1001, 1002, 1003)
@@ -212,6 +219,7 @@ class TestBase4Route:
         assert radix.text(offset, 4, h) == bytes(ord("0") + d - 1 for d in digits)
         assert radix.split(offset, 4, h) == [d - 1 for d in digits]
         assert list(delta(4, n).digits) == plain_digits(n, 4)
+        assert omega_zero(delta(4, n)) == n
 
     @pytest.mark.parametrize("h", LENGTHS)
     def test_length_edges(self, h):
