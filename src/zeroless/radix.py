@@ -40,15 +40,17 @@ HORNER_DIGITS = 15
 # CPython's default int/str limit (none before 3.10.7)
 _STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 _limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-_LEAST_LIMIT = 640  # no int/str limit is below this many digits
+# the lowest int/str limit CPython allows, other than none
+_LEAST_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 640)
 # ASCII digits to the digit values low..low+9, and back, for low 0 and 1
 _FROM_ASCII = tuple(bytes.maketrans(b"0123456789", bytes(range(low, low + 10))) for low in (0, 1))
 _TO_ASCII = tuple(bytes.maketrans(bytes(range(low, low + 10)), b"0123456789") for low in (0, 1))
 # each hex digit to the byte whose two hex digits are its two base-4 digits
 _QUADS = bytes.maketrans(b"0123456789abcdef", bytes((v >> 2) << 4 | v & 3 for v in range(16)))
 # repunits (10**h - 1) // 9 = minlex(10, h), for every h a rank of at most
-# PEEL_BITS bits can have, and one more
-_REPUNITS = tuple((10**h - 1) // 9 for h in range(len(str(1 << PEEL_BITS)) + 2))
+# PEEL_BITS bits can have; the last is read as _REPUNITS[h + 1] in
+# ``digits``, where h is the least length of a PEEL_BITS-bit rank
+_REPUNITS = tuple((10**h - 1) // 9 for h in range(len(str(1 << PEEL_BITS)) + 1))
 # the length of the least base-10 rank of each bit length: a rank of that
 # bit length has this length or one more, as repunits grow tenfold
 _LEX10_LENGTHS = (0, *(len(str(9 * (1 << b) + 1)) - 1 for b in range(PEEL_BITS)))

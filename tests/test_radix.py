@@ -1,9 +1,13 @@
-"""Divide-and-conquer radix conversion against plain digit loops.
+"""Every radix route against plain digit loops.
 
-The lengths straddle the block size ``radix.CUTOFF`` and its doubling, and
-go well past it, so that every join and cut of the divide-and-conquer paths
-runs. References are the left-to-right Horner loop and ``sigma_oracle``
-(last digit peeled per step), neither of which goes through ``radix``.
+``TestRouteEdges`` builds its cases from radix's own thresholds
+(``HORNER_DIGITS``, ``CUTOFF`` and its doubling, ``PEEL10_BITS``,
+``PEEL_BITS``) and CPython's int/str limits, and runs each through
+``check_routes``: ranks either side of every edge, in 11 bases, under
+the lowest limit, the default one and none. The other classes test the
+block loops and length searches on their own. References are the
+left-to-right Horner loop, ``plain_digits`` and ``sigma_oracle`` (last
+digit peeled per step), none of which goes through ``radix``.
 """
 
 import random
@@ -19,12 +23,15 @@ from zeroless import (
     delta,
     maxlex,
     minlex,
+    multiply,
     omega,
     omega_zero,
     radix,
+    rank_sequence,
     sigma,
     theta_lex_to_zero,
     theta_zero_to_lex,
+    unrank_sequence,
 )
 from zeroless.core import sigma_oracle
 from zeroless.radix import PEEL10_BITS, PEEL_BITS
@@ -41,6 +48,14 @@ def horner(digits, k):
     return acc
 
 
+@pytest.fixture
+def int_limit():
+    """Sets CPython's int/str digit limit; the test run's is put back after."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
 def plain_digits(x, k):
     """With-zero digits of x >= 1, most significant first."""
     out = []
@@ -48,6 +63,36 @@ def plain_digits(x, k):
         x, d = divmod(x, k)
         out.append(d)
     return out[::-1]
+
+
+# CPython's lowest and default int/str limits, and none
+LIMITS = (sys.int_info.str_digits_check_threshold, sys.int_info.default_max_str_digits, 0)
+
+
+def check_routes(k, n, int_limit, square=False):
+    """Rank n in base k >= 2 through every radix route under each limit, against the oracles.
+
+    With square, also the product of its numeral with itself.
+    """
+    lex, zero = sigma_oracle(k, n), plain_digits(n, k) or [0]
+    h = len(lex)
+    for limit in LIMITS:
+        int_limit(limit)
+        assert radix.decimal_limit() == (limit or LIMITS[1])
+        a, z = sigma(k, n), delta(k, n)
+        assert a == lex, (n, limit)
+        assert omega(a) == n
+        assert list(z.digits) == zero
+        assert omega_zero(z) == n
+        assert radix.split(n - minlex(k, h), k, h) == [d - 1 for d in lex.digits]
+        assert theta_lex_to_zero(a) == z
+        assert theta_zero_to_lex(z) == a
+        if k == 4:
+            seq = "".join("ACGT"[d - 1] for d in lex.digits)
+            assert unrank_sequence(n) == seq
+            assert rank_sequence(seq) == n
+        if square:
+            assert omega(multiply(a, a)) == n * n
 
 
 class TestValueSplit:
@@ -111,21 +156,6 @@ class TestLongNumerals:
         assert sigma(k, minlex(k, h)).digits == (1,) * h
         assert sigma(k, maxlex(k, h)).digits == (k,) * h
 
-    @pytest.mark.parametrize("k", (2, 3, 4, 10, 60))
-    def test_either_side_of_peeling(self, k):
-        edge = 1 << PEEL_BITS  # sigma and delta peel digits below this size, split above
-        for n in (edge - 2, edge - 1, edge, edge + 1, edge * k):
-            assert sigma(k, n) == sigma_oracle(k, n)
-            assert list(delta(k, n).digits) == plain_digits(n, k)
-            assert omega_zero(delta(k, n)) == n
-
-    def test_either_side_of_decimal_peeling(self):
-        edge = 1 << PEEL10_BITS  # base 10 peels below this size, writes str() above
-        for n in (edge - 2, edge - 1, edge, edge + 1, edge * 10):
-            assert sigma(10, n) == sigma_oracle(10, n)
-            assert list(delta(10, n).digits) == plain_digits(n, 10)
-            assert omega_zero(delta(10, n)) == n
-
     @given(st.sampled_from(BASES), st.sampled_from(LENGTHS), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_random_numerals(self, k, h, rnd):
@@ -146,42 +176,20 @@ class TestDecimalRoute:
     """Base 10 through int()/str(), up to radix.decimal_limit() digits.
 
     Numerals of up to the limit take the decimal route, longer ones the
-    block loops; the lengths sit on both sides of the Horner cut of
-    omega and omega_zero (radix.HORNER_DIGITS), CUTOFF, the lowest limit
-    CPython allows (640) and its default (4300).
+    block loops. TestRouteEdges checks each edge; the lengths here are
+    hand-picked ones kept beside it.
     """
 
     LENGTHS = (1, 2, 15, 16, 63, 64, 65, 639, 640, 641, 4299, 4300, 4301, 6000)
-
-    @pytest.fixture
-    def int_limit(self):
-        """Sets CPython's int/str digit limit; the test run's is put back after."""
-        saved = sys.get_int_max_str_digits()
-        yield sys.set_int_max_str_digits
-        sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("h", LENGTHS)
     def test_agrees_with_oracles_under_a_limit(self, h, int_limit):
         rnd = random.Random(h)
         digits = tuple(rnd.randint(1, 10) for _ in range(h))
         n = horner(digits, 10)
-        offset = [d - 1 for d in digits]
-        zero = plain_digits(n, 10)
         assert sigma_oracle(10, n).digits == digits
-        for limit in (640, 4300, 0):
-            int_limit(limit)
-            assert radix.decimal_limit() == (limit or 4300)
-            a = sigma(10, n)
-            assert a.digits == digits
-            assert omega(a) == n == radix.value(digits, 10)
-            assert radix.split(n - minlex(10, h), 10, h) == offset
-            z = delta(10, n)
-            assert list(z.digits) == zero
-            assert omega_zero(z) == n
-            assert theta_lex_to_zero(a) == z
-            assert theta_zero_to_lex(z) == a
-            for m in (minlex(10, h), maxlex(10, h)):
-                assert omega(sigma(10, m)) == m
+        assert radix.value(digits, 10) == n
+        check_routes(10, n, int_limit)
 
     @given(st.integers(1, 5000), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -199,33 +207,61 @@ class TestDecimalRoute:
 class TestBase4Route:
     """Base 4 through hex() widened to base-4 digits and int(text, 4).
 
-    The lengths sit on both sides of the Horner cut of omega and
-    omega_zero (radix.HORNER_DIGITS), CUTOFF and the peel edge of sigma
-    and delta: a rank of 256 bits has 128 or 129 digits. Four lengths in
-    a row cover each pad the widening strips, h mod 4 being 0 to 3.
+    Four lengths in a row cover each pad the widening strips, h mod 4
+    being 0 to 3. TestRouteEdges checks each edge; the lengths here are
+    hand-picked ones kept beside it.
     """
 
     LENGTHS = (1, 2, 3, 4, 14, 15, 16, 17, 64, 65, 66, 67, 127, 128, 129, 130, 1000, 1001, 1002, 1003)
 
     @pytest.mark.parametrize("h", LENGTHS)
-    def test_agrees_with_oracles(self, h):
+    def test_agrees_with_oracles(self, h, int_limit):
         rnd = random.Random(h)
         digits = tuple(rnd.randint(1, 4) for _ in range(h))
         n = horner(digits, 4)
-        a = sigma(4, n)
-        assert a.digits == digits == sigma_oracle(4, n).digits
-        assert omega(a) == n
-        offset = n - minlex(4, h)
-        assert radix.text(offset, 4, h) == bytes(ord("0") + d - 1 for d in digits)
-        assert radix.split(offset, 4, h) == [d - 1 for d in digits]
-        assert list(delta(4, n).digits) == plain_digits(n, 4)
-        assert omega_zero(delta(4, n)) == n
+        assert sigma_oracle(4, n).digits == digits
+        assert radix.text(n - minlex(4, h), 4, h) == bytes(ord("0") + d - 1 for d in digits)
+        check_routes(4, n, int_limit)
 
     @pytest.mark.parametrize("h", LENGTHS)
-    def test_length_edges(self, h):
+    def test_length_edges(self, h, int_limit):
         for edge in (minlex(4, h), maxlex(4, h)):
             for n in (edge - 1, edge, edge + 1):
-                a = sigma(4, n)
-                assert a == sigma_oracle(4, n)
-                assert omega(a) == n
-                assert list(delta(4, n).digits) == (plain_digits(n, 4) or [0])
+                check_routes(4, n, int_limit)
+
+
+def _route_cases():
+    """Per base, the ranks at and either side of each radix cut-over.
+
+    Lengths sit at each edge length ±1, base 4 also taking each h mod 4
+    the hex widening strips, base 10 every length its tables of lengths
+    and repunits serve, and bases with a C text route the two limit
+    lengths ±1, where products are checked too; bit sizes sit at each
+    peel edge.
+    """
+    for k in (2, 3, 4, 8, 10, 16, 36, 60, 255, 256, 257):
+        edges = [radix.HORNER_DIGITS, radix.CUTOFF, 2 * radix.CUTOFF]
+        if k == 10:  # with the pads, lengths 1 to one past the longest the tables serve
+            edges += range(2, len(str(1 << PEEL_BITS)) + 1)
+        limits = LIMITS[:2] if radix.readable(k, 1) else ()
+        pads = range(-1, 4) if k == 4 else (-1, 0, 1)
+        for h in sorted({e + d for e in (*edges, *limits) for d in pads}):
+            lo, hi = minlex(k, h), maxlex(k, h)
+            ranks = (lo - 1, lo, lo + 1, random.Random(h).randint(lo, hi), hi - 1, hi, hi + 1)
+            yield pytest.param(k, ranks, any(h - e in pads for e in limits), id=f"{k}-h{h}")
+        ranks = tuple((1 << b) + d for b in (PEEL10_BITS, PEEL_BITS) for d in range(-2, 2))
+        yield pytest.param(k, ranks, False, id=f"{k}-peel")
+
+
+class TestRouteEdges:
+    """Every route of radix.number and radix.digits at its edges, under each int/str limit.
+
+    The cases come from radix's own thresholds and sys.int_info, so a
+    route or threshold added there is tested here by adding its base or
+    constant to the inputs.
+    """
+
+    @pytest.mark.parametrize("k, ranks, square", _route_cases())
+    def test_agrees_with_oracles(self, k, ranks, square, int_limit):
+        for n in ranks:
+            check_routes(k, n, int_limit, square)

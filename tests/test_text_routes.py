@@ -2,9 +2,8 @@
 
 ``format_lex``/``parse_lex`` and ``format_zero``/``parse_zero`` read and
 write ASCII symbol sets, which Alphabet's rules keep to 92 symbols, with
-``bytes.translate``, bracket ciphers up to base 256 from a tuple, and
-base-10 ``sigma`` below 256 bits from tables of lengths and repunits. The oracles here are the
-loops those routes replaced.
+``bytes.translate``, and bracket ciphers up to base 256 from a tuple.
+The oracles here are the loops those routes replaced.
 """
 
 import random
@@ -18,15 +17,12 @@ from zeroless import (
     ZeroNumeral,
     format_lex,
     format_zero,
-    maxlex,
-    minlex,
     parse_lex,
     parse_zero,
     predecessor,
     sigma,
     successor,
 )
-from zeroless.core import sigma_oracle
 
 PRINTABLE = string.digits + string.ascii_letters + string.punctuation  # the 94 printable non-space ASCII
 SYMBOLS = PRINTABLE.replace("[", "").replace("]", "")  # the 92 an Alphabet takes
@@ -180,22 +176,6 @@ def test_long_with_zero_symbol_sets(size, kind):
         assert outcome(lambda: parse_zero(text, symbols=symbols)) == values_of(text, symbols, 0)
         bad = text + "[" + text
         assert outcome(lambda: parse_zero(bad, symbols=symbols)) == values_of(bad, symbols, 0)
-
-
-def _base10_edges():
-    ranks = {0, 1, 9, 10, 11}
-    for h in range(1, 79):
-        for edge in (minlex(10, h), maxlex(10, h)):
-            ranks.update((edge - 1, edge, edge + 1))
-    for bits in (16, 256):
-        for edge in (1 << (bits - 1), 1 << bits):
-            ranks.update((edge - 1, edge, edge + 1))
-    return sorted(ranks)
-
-
-def test_base10_sigma_at_length_and_bit_edges():
-    for n in _base10_edges():
-        assert sigma(10, n) == sigma_oracle(10, n), n
 
 
 def test_numerals_reach_post_init_once_per_construction(monkeypatch):
