@@ -11,9 +11,9 @@ are collected in with-zero columns, summed with ordinary carries, and
 the finished intermediate is rewritten as a zeroless string at the very
 end. Cells whose digit products are inconvenient to know by heart can be
 split over a set of generator digits; the partial products then land in
-the same columns. The lattice itself runs only when its trace is asked
-for: without one, each digit is tested against the sums of generators
-and the product is taken by rank.
+the same columns. Each digit is tested against the sums of generators
+first; the lattice itself runs only when its trace is asked for, and
+without one the product is taken by rank.
 """
 
 from __future__ import annotations
@@ -80,13 +80,12 @@ class _Splits:
     Among sums with the fewest parts the one with the largest parts wins:
     generators are tried largest first and a later one only replaces an
     earlier one on a strictly shorter sum, so the parts come out largest
-    first. A value that no sum makes is answered by ``_unmade_test``
-    before the table grows, so it never grows past a value some sum makes.
+    first. It is asked only for values that some sum makes, since
+    ``lattice_multiply`` checks every digit first.
     """
 
-    def __init__(self, generators: tuple, k: int):
+    def __init__(self, generators: tuple):
         self.generators = generators  # sorted descending
-        self.unmade = _unmade_test(k, generators)  # "no sum", without the table
         self.count = [0]  # fewest parts making v, None when no sum does
         self.first = [0]
 
@@ -100,9 +99,7 @@ class _Splits:
             count.append(best)
             first.append(pick)
 
-    def parts(self, value: int) -> list | None:
-        if self.unmade(value):
-            return None
+    def parts(self, value: int) -> list:
         self._extend(value)
         first = self.first
         parts = []
@@ -144,23 +141,13 @@ def _unmade_test(k: int, gens: tuple):
     return lambda d: d < least.get(d % g, d + 1)
 
 
-def _undecomposable(xd: int, yd: int, generators: tuple) -> ValueError:
-    return ValueError(
-        f"cell {xd} x {yd}: neither digit decomposes into generators {sorted(generators)}"
-    )
-
-
-def _cell_products(xd: int, yd: int, generators: tuple, splits: _Splits | None) -> tuple:
+def _cell_products(xd: int, yd: int, generators: tuple, splits: _Splits | None, unmade) -> tuple:
     """(left, right, product) triples a single cell contributes."""
     if not generators or xd in generators or yd in generators:
         return ((xd, yd, xd * yd),)
-    parts = splits.parts(yd)
-    if parts is not None:
-        return tuple((xd, g, xd * g) for g in parts)
-    parts = splits.parts(xd)
-    if parts is not None:
-        return tuple((g, yd, g * yd) for g in parts)
-    raise _undecomposable(xd, yd, generators)
+    if unmade is None or not unmade(yd):
+        return tuple((xd, g, xd * g) for g in splits.parts(yd))
+    return tuple((g, yd, g * yd) for g in splits.parts(xd))
 
 
 def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool = False):
@@ -176,9 +163,9 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
     sum to it, largest first. With ``trace=True`` the return value is a
     (result, LatticeTrace) pair instead of the bare result.
 
-    Without a trace the lattice is not written out: each digit is tested
-    against the generators and the product is taken by rank, with the
-    lattice's own result and error (its first failing cell, row-major).
+    Every digit is tested against the generators first: the first failing
+    cell (row-major) is reported before any cell is written. Without a
+    trace the product is then taken by rank, the lattice's own result.
     """
     _check_same_base(x, y)
     k = x.base
@@ -198,24 +185,25 @@ def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool 
         if trace:
             return result, LatticeTrace((), (), ZeroNumeral.zero(k))
         return result
+    unmade = None  # every digit is made: no generators, or 1 among them
+    if gens and gens[-1] != 1:
+        # a cell fails when both its digits do: the first unmade digits of x and y
+        unmade = _unmade_test(k, gens)
+        yd = next(filter(unmade, y.digits), None)
+        if yd is not None:
+            xd = next(filter(unmade, x.digits), None)
+            if xd is not None:
+                raise ValueError(f"cell {xd} x {yd}: neither digit decomposes into generators {sorted(gens)}")
     if not trace:
-        if gens and gens[-1] != 1:  # sums of ones make every digit
-            # a cell fails when both its digits do: the first unmade digits of x and y
-            unmade = _unmade_test(k, gens)
-            yd = next(filter(unmade, y.digits), None)
-            if yd is not None:
-                xd = next(filter(unmade, x.digits), None)
-                if xd is not None:
-                    raise _undecomposable(xd, yd, gens)
         return multiply(x, y)
     m, n = len(x.digits), len(y.digits)
-    splits = _Splits(gens, k) if gens else None
+    splits = _Splits(gens) if gens else None
     columns = [[] for _ in range(m + n)]
     steps = []
     for i, xd in enumerate(x.digits):
         for j, yd in enumerate(y.digits):
             c = (m - 1 - i) + (n - 1 - j)
-            for a, b, p in _cell_products(xd, yd, gens, splits):
+            for a, b, p in _cell_products(xd, yd, gens, splits, unmade):
                 columns[c].append(p % k)
                 columns[c + 1].append(p // k)
                 steps.append(

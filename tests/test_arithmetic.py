@@ -426,8 +426,6 @@ class TestLatticeMultiply:
                 assert lattice_multiply(a, b, generators=gens) == expected
 
     def test_traced_lattice_answers_no_sum_before_the_table(self, monkeypatch):
-        # no sum of 6 and k makes k - 3 (it is 1 modulo 6): the split table
-        # used to be filled up to it, a million entries, before saying so
         tables = []
 
         class Recorded(arithmetic._Splits):
@@ -437,14 +435,21 @@ class TestLatticeMultiply:
 
         monkeypatch.setattr(arithmetic, "_Splits", Recorded)
         k = 10**6
-        a = LexNumeral(k, (k - 3,))
-        with pytest.raises(ValueError) as untraced:
-            lattice_multiply(a, a, {6, k})
-        with pytest.raises(ValueError) as traced:
-            lattice_multiply(a, a, {6, k}, trace=True)
-        message = f"cell {k - 3} x {k - 3}: neither digit decomposes into generators [6, {k}]"
-        assert str(traced.value) == str(untraced.value) == message
-        assert len(tables) == 1 and len(tables[0].count) == 1
+        cases = [
+            # no sum of 6 and k makes k - 3 (it is 1 modulo 6): the split table
+            # used to be filled up to it, a million entries, before saying so
+            (LexNumeral(k, (k - 3,)), LexNumeral(k, (k - 3,)), {6, k}, f"{k - 3} x {k - 3}"),
+            # the cell 4 x 3, which splits 4 into 2 + 2, comes before the failing cell 3 x 3
+            (dx("43"), dx("3"), {2}, "3 x 3"),
+        ]
+        for a, b, gens, cell in cases:
+            with pytest.raises(ValueError) as untraced:
+                lattice_multiply(a, b, gens)
+            with pytest.raises(ValueError) as traced:
+                lattice_multiply(a, b, gens, trace=True)
+            message = f"cell {cell}: neither digit decomposes into generators {sorted(gens)}"
+            assert str(traced.value) == str(untraced.value) == message
+            assert tables == []
 
     def test_long_generator_is_echoed_cut(self):
         with pytest.raises(ValueError) as exc:
