@@ -1,4 +1,4 @@
-"""Small-operand, FASTA-read and table latency of the zeroless library.
+"""Small-operand, FASTA-read, table and CLI start latency of the zeroless library.
 
     python3 bench/scale.py [--calls N] [--repeat R] [--out DIR]
 
@@ -28,10 +28,18 @@ The tables section runs ``zeroless table mul -b 300``, human grid and
 null device, taking turns with the other kinds; the fastest of R passes
 is the ms per table.
 
+The CLI start section starts ``python -m zeroless.cli encode 1`` and
+``python -m zeroless.cli unrank 123456789`` as fresh processes, with
+``src`` on PYTHONPATH and this process's environment otherwise, taking
+turns with a bare ``python -I -S -c pass``, R times each. The median
+wall time of each is its ms per start; each CLI figure is also given
+scaled to a 15 ms bare start, as the benchmark's ``setup_s`` is, so
+that files from hosts of different speed can be compared.
+
 The figures, with the machine, the interpreter, the seed and the commit,
 go to DIR/BENCH_<date>_<commit>.json (DIR defaults to this script's
-folder); when ``src`` differs from the commit, the commit is suffixed
-"-dirty-" and a hash of that difference.
+folder, and is made if missing); when ``src`` differs from the commit,
+the commit is suffixed "-dirty-" and a hash of that difference.
 The package is imported from this checkout's ``src``. Standard library
 only.
 """
@@ -46,6 +54,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -61,6 +70,8 @@ READS, READ_BASES, LINE_WIDTH = 20000, 150, 80
 TABLE_BASE = 300
 LONG_BASE, LONG_DIGITS = 4, (10**4, 10**5)
 TABLES = {"multiplication_human": ("mul",), "multiplication_machine": ("mul", "--machine")}
+CLI_STARTS = {"encode_1": ("encode", "1"), "unrank_123456789": ("unrank", "123456789")}
+BARE_START_REF_MS = 15.0  # the bare start that scaled start figures are scaled to, as setup_s is
 
 
 def _commit():
@@ -158,6 +169,23 @@ def _table(zl, argv, sink):
             raise RuntimeError(f"zeroless {' '.join(argv)} failed")
 
 
+def _starts(repeat):
+    """Median ms of fresh CLI processes and of a bare interpreter, started in turns."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("ZEROLESS_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    argvs = {name: [sys.executable, "-m", "zeroless.cli", *args] for name, args in CLI_STARTS.items()}
+    argvs["bare"] = [sys.executable, "-I", "-S", "-c", "pass"]
+    walls = {name: [] for name in argvs}
+    for _ in range(repeat):
+        for name, argv in argvs.items():
+            t0 = perf_counter()
+            proc = subprocess.run(argv, env=env, cwd=ROOT, stdin=subprocess.DEVNULL, capture_output=True)
+            walls[name].append(perf_counter() - t0)
+            if proc.returncode or proc.stderr:
+                raise RuntimeError(f"{' '.join(argv)} failed: {proc.stderr.decode(errors='replace')}")
+    return {name: statistics.median(seconds) * 1e3 for name, seconds in walls.items()}
+
+
 def measure(calls_per_kind: int, repeat: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import zeroless as zl
@@ -191,6 +219,7 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
         for _ in range(repeat):  # the kinds take turns, so a slow spell of the host hits them alike
             for key, (fn, args_list, count) in work.items():
                 best[key] = min(best[key], _time(fn, args_list) / count)
+    start_ms = _starts(repeat)
     per_call = {str(k): {} for k in BASES}
     for (name, k), seconds in best.items():
         if k in BASES:
@@ -231,17 +260,31 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
             "base": TABLE_BASE,
             "ms_per_table": {name: round(best[name, "tables"] * 1e3, 2) for name in TABLES},
         },
+        "cli_starts": {
+            "starts": repeat,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "ms_per_start": {name: round(ms, 2) for name, ms in start_ms.items()},
+            "scaled_ms_per_start": {
+                name: round(start_ms[name] * BARE_START_REF_MS / start_ms["bare"], 2) for name in CLI_STARTS
+            },
+        },
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=300, help="calls per op kind and base")
-    parser.add_argument("--repeat", type=int, default=25, help="timed passes per op kind, FASTA pass and table")
+    parser.add_argument(
+        "--repeat", type=int, default=25, help="timed passes per op kind, FASTA pass and table; starts per CLI command"
+    )
     parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parent, help="folder for the JSON file")
     args = parser.parse_args(argv)
     if args.calls < 1 or args.repeat < 1:
         parser.error("--calls and --repeat must be at least 1")
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out: {exc}")
     result = measure(args.calls, args.repeat)
     path = args.out / f"BENCH_{result['date'].replace('-', '')}_{result['commit']}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")

@@ -2,19 +2,30 @@
 
 Every subcommand is a thin shell over the library; results go to stdout
 with one final newline. Exit codes: 0 on success, 2 on usage errors,
-1 on domain errors and unreadable input (message on stderr) and when the
-reader of stdout goes away early (no message).
+1 on domain errors, unreadable input and exhausted memory (message on
+stderr) and when the reader of stdout goes away early (no message).
+
+Each command's arguments are declared once, in ``_COMMANDS``. A plain
+argv (see ``_match``) is read from that table directly; any other, and
+every request for help, goes to the argparse parser built from it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 
 from zeroless import __version__, arithmetic, conversion, core, genome, tables
 
 _BATCH = 1024  # enumerate and rank write this many lines at a time
+
+
+def _refusal(message: str):
+    """argparse's error for a value its type refuses; argparse is imported on this path alone."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
 
 
 def _natural(text: str) -> int:
@@ -22,8 +33,8 @@ def _natural(text: str) -> int:
     if text.isascii() and text.isdigit():
         return int(text)
     if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
-        raise argparse.ArgumentTypeError(f"{core._echo(text)} is negative")
-    raise argparse.ArgumentTypeError(f"{core._echo(text)} is not a decimal number")
+        raise _refusal(f"{core._echo(text)} is negative")
+    raise _refusal(f"{core._echo(text)} is not a decimal number")
 
 
 def _integer(text: str) -> int:
@@ -31,7 +42,7 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {core._echo(text)}") from None
+        raise _refusal(f"invalid int value: {core._echo(text)}") from None
 
 
 def _generator_list(text: str) -> tuple:
@@ -39,7 +50,7 @@ def _generator_list(text: str) -> tuple:
     parts = [part.strip(" ") for part in text.split(",")]
     if all(part.isascii() and part.isdigit() for part in parts):
         return tuple(map(int, parts))
-    raise argparse.ArgumentTypeError(f"{core._echo(text)} is not a comma-separated list of digits")
+    raise _refusal(f"{core._echo(text)} is not a comma-separated list of digits")
 
 
 def _alphabet_for(args):
@@ -174,115 +185,181 @@ def _cmd_unrank(args) -> int:
     return 0
 
 
-def _add_numeral_options(sub):
-    sub.add_argument("--base", "-b", type=_integer, default=None, help="numeral base k")
-    sub.add_argument(
+def _arg(*flags, **kw):
+    """One argument as ``add_argument`` takes it; an option names its long flag first."""
+    return flags, kw
+
+
+_NUMERAL_OPTIONS = (
+    _arg("--base", "-b", type=_integer, default=None, help="numeral base k"),
+    _arg(
         "--alphabet",
         "-a",
         default=None,
         help="digit symbols: a literal string, or one of "
         + ", ".join(core.NAMED_ALPHABETS)
         + " (default: 1..9,X up to base 10, brackets above; env ZEROLESS_ALPHABET)",
-    )
+    ),
+)
+_NUMERAL = (*_NUMERAL_OPTIONS, _arg("numeral"))
+_TWO_NUMERALS = (*_NUMERAL_OPTIONS, _arg("x"), _arg("y"))
 
-
-def _numerals(*names):
-    """Arguments of a command that reads the named numerals."""
-
-    def add(p):
-        _add_numeral_options(p)
-        for name in names:
-            p.add_argument(name)
-
-    return add
-
-
-def _encode_args(p):
-    _add_numeral_options(p)
-    p.add_argument("value", type=_natural, help="decimal number of any size")
-
-
-def _mul_args(p):
-    _numerals("x", "y")(p)
-    p.add_argument("--lattice", action="store_true", help="use column-lattice multiplication")
-    p.add_argument(
-        "--generators",
-        type=_generator_list,
-        default=None,
-        help="comma-separated digit values for splitting lattice cells (implies --lattice)",
-    )
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        help="show lattice cells and column sums (implies --lattice)",
-    )
-
-
-def _convert_args(p):
-    _add_numeral_options(p)
-    p.add_argument("--to", choices=("zero", "lex"), required=True, help="target notation")
-    p.add_argument("numeral")
-
-
-def _table_args(p):
-    _add_numeral_options(p)
-    p.add_argument("op", choices=("add", "mul"))
-    p.add_argument("--machine", action="store_true", help="one tab-separated a, b, result line per entry")
-
-
-def _enumerate_args(p):
-    _add_numeral_options(p)
-    p.add_argument("--count", type=_natural, required=True, help="how many numerals to print")
-
-
-def _rank_args(p):
-    p.add_argument("--fasta", default="-", help="FASTA file, or - for stdin (default)")
-    p.add_argument(
-        "--policy",
-        choices=("reject", "skip"),
-        default="reject",
-        help="what to do with records holding letters outside ACGT",
-    )
-
-
-def _unrank_args(p):
-    p.add_argument("rank", type=_natural, help="decimal rank of any size")
-
-
-# name: (help, arguments, run), in the order the help lists them
+# name: (help, arguments in the order the usage lists them, run), in the
+# order the help lists the commands; _build_parser and _match read it alone
 _COMMANDS = {
-    "encode": ("write a number as a zeroless numeral", _encode_args, _cmd_encode),
-    "decode": ("read a zeroless numeral back to a number", _numerals("numeral"), _cmd_decode),
-    "succ": ("successor of a zeroless numeral", _numerals("numeral"), _cmd_succ),
-    "pred": ("predecessor of a zeroless numeral", _numerals("numeral"), _cmd_pred),
-    "add": ("add two zeroless numerals", _numerals("x", "y"), _cmd_add),
-    "mul": ("multiply two zeroless numerals", _mul_args, _cmd_mul),
-    "convert": ("rewrite a numeral in the other notation, same value", _convert_args, _cmd_convert),
-    "table": ("print a single-digit operation table", _table_args, _cmd_table),
-    "enumerate": ("list numerals in shortlex order, starting at 1", _enumerate_args, _cmd_enumerate),
-    "rank": ("rank DNA sequences from a FASTA file", _rank_args, _cmd_rank),
-    "unrank": ("DNA sequence of a given rank", _unrank_args, _cmd_unrank),
+    "encode": (
+        "write a number as a zeroless numeral",
+        (*_NUMERAL_OPTIONS, _arg("value", type=_natural, help="decimal number of any size")),
+        _cmd_encode,
+    ),
+    "decode": ("read a zeroless numeral back to a number", _NUMERAL, _cmd_decode),
+    "succ": ("successor of a zeroless numeral", _NUMERAL, _cmd_succ),
+    "pred": ("predecessor of a zeroless numeral", _NUMERAL, _cmd_pred),
+    "add": ("add two zeroless numerals", _TWO_NUMERALS, _cmd_add),
+    "mul": (
+        "multiply two zeroless numerals",
+        (
+            *_TWO_NUMERALS,
+            _arg("--lattice", action="store_true", help="use column-lattice multiplication"),
+            _arg(
+                "--generators",
+                type=_generator_list,
+                default=None,
+                help="comma-separated digit values for splitting lattice cells (implies --lattice)",
+            ),
+            _arg("--trace", action="store_true", help="show lattice cells and column sums (implies --lattice)"),
+        ),
+        _cmd_mul,
+    ),
+    "convert": (
+        "rewrite a numeral in the other notation, same value",
+        (
+            *_NUMERAL_OPTIONS,
+            _arg("--to", choices=("zero", "lex"), required=True, help="target notation"),
+            _arg("numeral"),
+        ),
+        _cmd_convert,
+    ),
+    "table": (
+        "print a single-digit operation table",
+        (
+            *_NUMERAL_OPTIONS,
+            _arg("op", choices=("add", "mul")),
+            _arg("--machine", action="store_true", help="one tab-separated a, b, result line per entry"),
+        ),
+        _cmd_table,
+    ),
+    "enumerate": (
+        "list numerals in shortlex order, starting at 1",
+        (*_NUMERAL_OPTIONS, _arg("--count", type=_natural, required=True, help="how many numerals to print")),
+        _cmd_enumerate,
+    ),
+    "rank": (
+        "rank DNA sequences from a FASTA file",
+        (
+            _arg("--fasta", default="-", help="FASTA file, or - for stdin (default)"),
+            _arg(
+                "--policy",
+                choices=("reject", "skip"),
+                default="reject",
+                help="what to do with records holding letters outside ACGT",
+            ),
+        ),
+        _cmd_rank,
+    ),
+    "unrank": (
+        "DNA sequence of a given rank",
+        (_arg("rank", type=_natural, help="decimal rank of any size"),),
+        _cmd_unrank,
+    ),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse parser of every command: help, usage errors and every argv _match leaves."""
+    import argparse  # here alone, so that a plain argv loads neither it nor the gettext and locale it brings
+
     parser = argparse.ArgumentParser(
         prog="zeroless",
         description="Zeroless positional numerals: rank, unrank, arithmetic, conversion.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments, run) in _COMMANDS.items():
+    for name, (text, arguments, run) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        add_arguments(p)
+        for flags, kw in arguments:
+            p.add_argument(*flags, **kw)
         p.set_defaults(run=run)
     return parser
+
+
+def _plain(word: str) -> bool:
+    """A word argparse reads as a value wherever it stands: no leading "-", or a lone "-"."""
+    return word[:1] != "-" or word == "-"
+
+
+def _match(argv):
+    """The namespace argparse makes of ``argv`` when it has the plain form, else None.
+
+    The plain form is a command name, then options by a name the table
+    lists, each given once and followed by a value that does not start
+    with "-" (a lone "-" may), flags, and positionals that do not start
+    with "-"; every required option is there, and every type and choice
+    takes its value. Help, --version, "--base=10", "-b10", abbreviations,
+    "--", negative numbers, repeats and refused values are all left to
+    argparse, which prints what it always did.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, arguments, run = _COMMANDS[argv[0]]
+    options = {flag: (flags, kw) for flags, kw in arguments if flags[0][0] == "-" for flag in flags}
+    texts, words = {}, []  # texts: an option's first flag -> its value, or True for a flag
+    rest = iter(argv[1:])
+    for word in rest:
+        if _plain(word):
+            words.append(word)
+            continue
+        spec = options.get(word)
+        if spec is None or spec[0][0] in texts:
+            return None
+        flags, kw = spec
+        if kw.get("action") == "store_true":
+            texts[flags[0]] = True
+            continue
+        text = next(rest, None)
+        if text is None or not _plain(text):
+            return None
+        texts[flags[0]] = text
+    positionals = [flags[0] for flags, _ in arguments if flags[0][0] != "-"]
+    if len(words) != len(positionals):
+        return None
+    texts.update(zip(positionals, words))
+    space = {"command": argv[0], "run": run}
+    for flags, kw in arguments:
+        dest = flags[0].lstrip("-").replace("-", "_")
+        if flags[0] not in texts:
+            if kw.get("required"):
+                return None
+            space[dest] = False if kw.get("action") == "store_true" else kw.get("default")
+            continue
+        value = texts[flags[0]]
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except Exception:  # argparse runs the type again, and reports or raises as it always did
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        space[dest] = value
+    return types.SimpleNamespace(**space)
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _match(argv) or _build_parser().parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
@@ -294,6 +371,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:  # ValueError covers UnicodeDecodeError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # one line, as for the errors above, not a traceback
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -7,13 +7,14 @@ SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "scale.py"
 
 
 def test_scale_script_writes_its_json(tmp_path):
+    out = tmp_path / "made" / "here"  # --out makes a folder that does not exist
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--calls", "2", "--repeat", "1", "--out", str(tmp_path)],
+        [sys.executable, str(SCRIPT), "--calls", "2", "--repeat", "1", "--out", str(out)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     path = Path(proc.stdout.strip())
-    assert path.parent == tmp_path and path.name.startswith("BENCH_")
+    assert path.parent == out and path.name.startswith("BENCH_")
     result = json.loads(path.read_text())
     kinds = {"add", "multiply", "lattice_with_1", "lattice_without_1", "sigma", "omega", "delta", "parse_lex",
              "format_lex"}
@@ -34,3 +35,18 @@ def test_scale_script_writes_its_json(tmp_path):
     assert tables["base"] == 300
     assert set(tables["ms_per_table"]) == {"multiplication_human", "multiplication_machine"}
     assert all(ms > 0 for ms in tables["ms_per_table"].values())
+    starts = result["cli_starts"]
+    assert starts["starts"] == 1
+    assert set(starts["ms_per_start"]) == {"encode_1", "unrank_123456789", "bare"}
+    assert set(starts["scaled_ms_per_start"]) == {"encode_1", "unrank_123456789"}
+    assert all(ms > 0 for ms in [*starts["ms_per_start"].values(), *starts["scaled_ms_per_start"].values()])
+
+
+def test_scale_script_refuses_an_out_it_cannot_make(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--out", str(blocker / "sub")], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1].startswith("scale.py: error: --out: ")

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zeroless
 from zeroless import cli, core, tables
@@ -662,3 +663,104 @@ def test_closed_stdout_exits_quietly():
     proc.stdout.close()  # the reader goes away while the writer is mid-stream
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+# the words an argv is drawn from: every flag the table declares, values
+# of every kind, and words that _match leaves to argparse
+_FLAGS = sorted(
+    {flag for _, arguments, _ in cli._COMMANDS.values() for names, _ in arguments for flag in names if flag[0] == "-"}
+)
+_VALUES = ["1", "0", "007", "60", "2,5", "3, 5", "zero", "lex", "add", "mul", "reject", "skip", "acgt", "ACGT",
+           "bracket", "9X", "[7][7]", "ε", "-", "", "a b", "x=y", "1e3", "٣", "encode"]
+_ODD = ["--base=10", "-b10", "-b=10", "--gen", "--ba", "--", "-5", "-1,2", "-h", "--help", "--version", "-ab", "---",
+        "--to=zero", "-x", "- ", "-a b", "--fasta=-"]
+_PARSER = cli._build_parser()
+
+
+@st.composite
+def _argvs(draw):
+    """A command's arguments in any order, most of them plain, then up to two words from anywhere."""
+    name = draw(st.sampled_from(_NAMES + ("bogus", "--version")))
+    groups = []
+    for flags, kw in cli._COMMANDS.get(name, (None, (), None))[1]:
+        if flags[0][0] != "-":
+            groups.append([draw(st.sampled_from(_VALUES))])
+        elif draw(st.booleans()):
+            flag = draw(st.sampled_from(flags))
+            groups.append([flag] if kw.get("action") == "store_true" else [flag, draw(st.sampled_from(_VALUES))])
+    argv = [name] + [word for group in draw(st.permutations(groups)) for word in group]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ODD + _FLAGS + _VALUES)))
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argvs())
+def test_match_answers_as_argparse_does(argv):
+    args = cli._match(argv)
+    if args is not None:
+        assert vars(args) == vars(_PARSER.parse_args(argv))
+
+
+# one argv of each shape the benchmark's CLI jobs and set-up starts take,
+# written out here because the tests do not import the benchmark
+_BENCHMARK_ARGVS = [
+    ["encode", "1"],
+    ["rank", "--policy", "skip", "--fasta", "/work/reads.fa"],
+    ["rank", "--policy", "skip", "--fasta", "-"],
+    ["rank", "--fasta", "/work/contigs.fa"],
+    ["unrank", "123456789"],
+    ["table", "mul", "-b", "300", "--machine"],
+    ["enumerate", "--count", "20000"],
+    ["mul", "37", "3X"],
+    ["mul", "--generators", "1,3,5,7", "427", "35"],
+    ["add", "9X", "1"],
+    ["convert", "-b", "10", "--to", "zero", "9X"],
+    ["convert", "-b", "60", "--to", "lex", "[1][0][59]"],
+    ["encode", "38070"],
+    ["decode", "37X6X"],
+    ["succ", "XX"],
+    ["pred", "1XX"],
+]
+
+
+@pytest.mark.parametrize("argv", _BENCHMARK_ARGVS, ids=" ".join)
+def test_match_answers_every_benchmark_shape(argv):
+    args = cli._match(argv)
+    assert args is not None and vars(args) == vars(_PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--version"], ["bogus"], ["encode", "-h"], ["encode", "--base=10", "5"], ["encode", "-b10", "5"],
+     ["mul", "--gen", "3,5", "6", "6"], ["encode", "--", "5"], ["encode", "-b", "4", "-b", "5", "1"],
+     ["encode", "-5"], ["encode", "x"], ["encode", "1", "2"], ["encode", "-b"], ["table", "div"],
+     ["convert", "9X"], ["rank", "--fasta", "--policy", "skip"], ["mul", "--trace", "--trace", "6", "6"]],
+    ids=" ".join,
+)
+def test_match_leaves_the_rest_to_argparse(argv):
+    assert cli._match(argv) is None
+
+
+def test_plain_runs_leave_out_argparse():
+    """A plain argv never imports argparse, nor the gettext and locale its messages bring."""
+    code = (
+        "import sys; before = set(sys.modules); from zeroless import cli; "
+        "codes = [cli.main(['encode', '1']), cli.main(['unrank', '5'])]; "
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\nAA\n[0, 0] []\n", "")
+
+
+@pytest.mark.parametrize("argv", [["encode", "1"], ["encode", "--base=10", "1"]])
+def test_out_of_memory_is_one_line(capsys, monkeypatch, argv):
+    """Through the matcher and through argparse alike: exit 1 and one line, no traceback."""
+
+    def exhaust(args):
+        raise MemoryError
+
+    text, arguments, _ = cli._COMMANDS["encode"]
+    monkeypatch.setitem(cli._COMMANDS, "encode", (text, arguments, exhaust))
+    assert run(capsys, *argv) == (1, "", "error: out of memory\n")
