@@ -38,11 +38,12 @@ def _natural(text: str) -> int:
 
 
 def _integer(text: str) -> int:
-    """``int(text)``; else argparse's own "invalid int value", the text cut by ``core._echo``."""
-    try:
+    """A number in ASCII digits with an optional leading "-"; else argparse's
+    own "invalid int value", the text cut by ``core._echo``."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
         return int(text)
-    except ValueError:
-        raise _refusal(f"invalid int value: {core._echo(text)}") from None
+    raise _refusal(f"invalid int value: {core._echo(text)}")
 
 
 def _generator_list(text: str) -> tuple:
@@ -120,7 +121,7 @@ def _cmd_mul(args) -> int:
     if args.trace:
         product, trace = arithmetic.lattice_multiply(x, y, args.generators, trace=True)
         _print_trace(trace)
-    elif args.lattice or args.generators is not None:
+    elif args.generators is not None:
         product = arithmetic.lattice_multiply(x, y, args.generators)
     else:
         product = arithmetic.multiply(x, y)
@@ -141,8 +142,8 @@ def _cmd_convert(args) -> int:
 
 def _cmd_table(args) -> int:
     base, alpha = _alphabet_for(args)
-    kind = "addition" if args.op == "add" else "multiplication"
-    sys.stdout.writelines((tables.stream_rows if args.machine else tables.stream_grid)(kind, base, alpha))
+    table = tables.OpTable("addition" if args.op == "add" else "multiplication", base)
+    sys.stdout.writelines((tables.table_rows if args.machine else tables.stream_grid)(table, alpha))
     return 0
 
 
@@ -220,14 +221,13 @@ _COMMANDS = {
         "multiply two zeroless numerals",
         (
             *_TWO_NUMERALS,
-            _arg("--lattice", action="store_true", help="use column-lattice multiplication"),
             _arg(
                 "--generators",
                 type=_generator_list,
                 default=None,
-                help="comma-separated digit values for splitting lattice cells (implies --lattice)",
+                help="comma-separated digit values for splitting lattice cells",
             ),
-            _arg("--trace", action="store_true", help="show lattice cells and column sums (implies --lattice)"),
+            _arg("--trace", action="store_true", help="show lattice cells and column sums"),
         ),
         _cmd_mul,
     ),

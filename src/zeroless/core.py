@@ -535,7 +535,12 @@ def parse_lex(text: str, base: int | None = None, alphabet: Alphabet | None = No
     if text == ZERO_TOKEN or text == "":
         return LexNumeral(base, ())
     symbols = alphabet.symbols if alphabet is not None else None
-    return LexNumeral(base, _parse_ciphers(text, base, symbols, 1))
+    try:
+        digits = _parse_ciphers(text, base, symbols, 1)
+    except ValueError:
+        LexNumeral(base, ())  # a bad base is named before the text
+        raise
+    return LexNumeral(base, digits)
 
 
 def format_lex(a: LexNumeral, alphabet: Alphabet | None = None) -> str:
@@ -572,7 +577,12 @@ def parse_zero(text: str, base: int | None = None, symbols: str | Alphabet | Non
         raise ValueError("parsing needs a base or a symbol set")
     if symbols is None and base <= 10:
         symbols = _DECIMAL[:base]
-    return ZeroNumeral(base, _parse_ciphers(text, base, symbols, 0))
+    try:
+        digits = _parse_ciphers(text, base, symbols, 0)
+    except ValueError:
+        ZeroNumeral(base, (0,))  # a bad base is named before the text
+        raise
+    return ZeroNumeral(base, digits)
 
 
 def format_zero(a: ZeroNumeral, symbols: str | Alphabet | None = None) -> str:

@@ -33,7 +33,7 @@ def test_scale_script_writes_its_json(tmp_path):
     assert all(ms > 0 for ms in long_numerals["ms_per_call"].values())
     tables = result["tables"]
     assert tables["base"] == 300
-    assert set(tables["ms_per_table"]) == {"multiplication_human", "multiplication_machine"}
+    assert set(tables["ms_per_table"]) == {"multiplication_human", "multiplication_machine", "multiplication_build"}
     assert all(ms > 0 for ms in tables["ms_per_table"].values())
     starts = result["cli_starts"]
     assert starts["starts"] == 1

@@ -84,8 +84,12 @@ class TestArithmetic:
         assert (code, out) == (0, "147X\n")
 
     def test_mul_lattice(self, capsys):
-        code, out, _ = run(capsys, "mul", "--lattice", "423", "8X")
-        assert (code, out) == (0, "37X6X\n")
+        """There is no --lattice flag: without --trace or generators the product is taken by rank alone."""
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "mul", "--lattice", "423", "8X")
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith("zeroless: error: unrecognized arguments: --lattice\n")
 
     def test_mul_generators(self, capsys):
         code, out, _ = run(capsys, "mul", "--generators", "2,5", "427", "35")
@@ -360,6 +364,15 @@ class TestNaturalArguments:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("'1_0' is not a decimal number\n")
 
+    @pytest.mark.parametrize("text", ["1_0", " 10 ", "+10", "\u0661\u0660", "\uff11\uff10", "-", "-+1", "--1"])
+    def test_base_rejected(self, capsys, text):
+        """--base reads ASCII digits too; a leading "-" is let through to the library's base check."""
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "encode", f"--base={text}", "5")
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"argument --base/-b: invalid int value: {text!r}\n")
+
     def test_negative(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "encode", "--", "-12")
@@ -410,6 +423,16 @@ class TestNaturalArguments:
         assert (code, out) == (1, "")
         assert err.startswith("error: base must be >= 1, got -7777") and err.count("\n") == 1
         assert len(err.encode()) < 120
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("decode", "-b", "0", "[1]"), "error: base must be >= 1, got 0\n"),
+            (("convert", "-b", "1", "--to", "lex", "1"), "error: with-zero base must be >= 2, got 1\n"),
+        ],
+    )
+    def test_a_bad_base_is_named_before_the_text(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", message)
 
     @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("1000", 1000), ("9" * 5000, 10**5000 - 1)])
     def test_accepted(self, capsys, text, value):
@@ -596,6 +619,21 @@ def test_trace_output_is_pinned(capsys):
     assert digest.hexdigest() == "cb634d89f33d4a4cf28d500b5b961bf3f5ac37df"
 
 
+def test_table_output_is_pinned(capsys):
+    # `table add|mul` in bases 1-13, 60 and 101, human and --machine, in
+    # the default symbols and in brackets, and in ACGT in base 4: one sha1
+    # over every argv, exit code, stdout and stderr holds the tables byte
+    # for byte, as written when each table held all its k**2 entries.
+    digest = hashlib.sha1()
+    for k in [*range(1, 14), 60, 101]:
+        for alphabet in [(), ("-a", "bracket")] + [("-a", "acgt")] * (k == 4):
+            for op in ("add", "mul"):
+                for machine in ((), ("--machine",)):
+                    argv = ["table", op, *machine, "-b", str(k), *alphabet]
+                    digest.update(repr((argv, *run(capsys, *argv))).encode())
+    assert digest.hexdigest() == "e1da43ff8ef93c6c78e89067c0c0651fbe6dcea7"
+
+
 _OPTIONS = "[-h] [--base BASE] [--alphabet ALPHABET]"
 _NAMES = ("encode", "decode", "succ", "pred", "add", "mul", "convert", "table", "enumerate", "rank", "unrank")
 # argv: (exit code, last stderr line of an error or first stdout line)
@@ -612,7 +650,7 @@ _PARSER_EXITS = {
     ("succ", "-h"): (0, f"usage: zeroless succ {_OPTIONS} numeral"),
     ("pred", "-h"): (0, f"usage: zeroless pred {_OPTIONS} numeral"),
     ("add", "-h"): (0, f"usage: zeroless add {_OPTIONS} x y"),
-    ("mul", "-h"): (0, f"usage: zeroless mul {_OPTIONS} [--lattice] [--generators GENERATORS] [--trace] x y"),
+    ("mul", "-h"): (0, f"usage: zeroless mul {_OPTIONS} [--generators GENERATORS] [--trace] x y"),
     ("convert", "-h"): (0, f"usage: zeroless convert {_OPTIONS} --to {{zero,lex}} numeral"),
     ("table", "-h"): (0, f"usage: zeroless table {_OPTIONS} [--machine] {{add,mul}}"),
     ("enumerate", "-h"): (0, f"usage: zeroless enumerate {_OPTIONS} --count COUNT"),

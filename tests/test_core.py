@@ -404,6 +404,21 @@ class TestParseFormat:
         parse_lex("[2][3]", base=60)  # brackets need only the base
 
     @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda: parse_lex("[1]", base=0), "base must be >= 1, got 0"),
+            (lambda: parse_lex("x", base=-3), "base must be >= 1, got -3"),
+            (lambda: parse_zero("1", base=1), "with-zero base must be >= 2, got 1"),
+            (lambda: parse_zero("[5]", base=0), "with-zero base must be >= 2, got 0"),
+            (lambda: parse_zero("1", symbols="0"), "with-zero base must be >= 2, got 1"),
+        ],
+    )
+    def test_a_bad_base_is_named_before_the_text(self, read, message):
+        with pytest.raises(ValueError) as exc:
+            read()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("CAN", "unknown symbol 'N' at position 2"),
@@ -582,7 +597,7 @@ class TestParseFormat:
             lambda: core.sigma_oracle(2, -big),
             lambda: conversion.delta(-big, 1),
             lambda: conversion.delta(2, -big),
-            lambda: tables.stream_rows("addition", -big),
+            lambda: tables.OpTable("addition", -big),
             lambda: genome.unrank_sequence(-big),
         ]:
             with pytest.raises(ValueError, match=r"7777\.\.\. \(100000 digits\)\]?$") as exc:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import zeroless
 from zeroless import (
     Alphabet,
     LexNumeral,
@@ -11,7 +17,7 @@ from zeroless import (
     parse_lex,
     sigma,
 )
-from zeroless.tables import OpTable, render_table, stream_grid, stream_rows, table_entries, table_rows
+from zeroless.tables import _MAX_BASE, OpTable, render_table, stream_grid, table_entries, table_rows
 
 # k=4 addition grid over ACGT, row digit first
 ADDITION_4 = """
@@ -83,6 +89,13 @@ class TestAdditionTable:
             build_addition_table(4).entry(0, 1)
         with pytest.raises(ValueError, match=r"^digit pair \(5, 1\) outside base 4$"):
             build_addition_table(4).result(5, 1)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2), (2, 1.0), ("1", 2), (None, 1), (1, (2,))])
+    def test_a_digit_that_is_no_int_is_outside(self, a, b):
+        table = build_addition_table(4)
+        for look_up in (table.entry, table.result):
+            with pytest.raises(ValueError, match=r"^digit pair \(.*\) outside base 4$"):
+                look_up(a, b)
 
     def test_result_and_symbol(self):
         table = build_addition_table(4)
@@ -179,7 +192,7 @@ class TestRendering:
     @pytest.mark.parametrize("k", [*range(1, 14), 60, 101])
     @pytest.mark.parametrize("kind", ["addition", "multiplication"])
     def test_stream_rows_match_the_built_table(self, kind, k):
-        """The rows, worked out from ``_row``, against the built entries, each formatted on its own."""
+        """``table_rows``, worked out a row at a time, against the entries looked up and formatted one by one."""
         table = (build_addition_table if kind == "addition" else build_multiplication_table)(k)
         alphabets = [default_alphabet(k), None] + ([Alphabet.named("acgt")] if k == 4 else [])
         for alphabet in alphabets:
@@ -191,8 +204,8 @@ class TestRendering:
                 "".join(f"{show((a,))}\t{show((b,))}\t{show(table.entry(a, b))}\n" for b in range(1, k + 1))
                 for a in range(1, k + 1)
             ]
-            assert list(stream_rows(kind, k, alphabet)) == expected
-        assert list(stream_rows(kind, k)) == list(stream_rows(kind, k, default_alphabet(k)))
+            assert list(table_rows(table, alphabet)) == expected
+        assert list(table_rows(table)) == list(table_rows(table, default_alphabet(k)))
 
     @pytest.mark.parametrize("k", [1, 4, 11, 60, 101])
     @pytest.mark.parametrize("kind", ["addition", "multiplication"])
@@ -201,29 +214,57 @@ class TestRendering:
         table = (build_addition_table if kind == "addition" else build_multiplication_table)(k)
         for alphabet in (default_alphabet(k), None):
             lines = render_table(table, alphabet).splitlines()
-            assert "".join(stream_grid(kind, k, alphabet)) == render_table(table, alphabet) + "\n"
+            assert "".join(stream_grid(table, alphabet)) == render_table(table, alphabet) + "\n"
             assert len(lines) == k + 1 and len({len(line) for line in lines}) == 1
             for a, line in enumerate(lines[1:], start=1):
                 cells = [format_lex(LexNumeral(k, table.entry(a, b)), alphabet) for b in range(1, k + 1)]
                 assert line.split() == [format_lex(LexNumeral(k, (a,)), alphabet), *cells]
 
     def test_stream_rows_guards(self):
-        with pytest.raises(ValueError, match="base must be >= 1"):
-            stream_rows("addition", 0)
-        with pytest.raises(ValueError, match="unknown table kind"):
-            stream_rows("division", 4)
+        """The outputs take a table, and a table refuses a base outside [1, _MAX_BASE] when it is made."""
+        for kind in ("addition", "multiplication"):
+            with pytest.raises(ValueError, match=r"^base must be >= 1, got 0$"):
+                OpTable(kind, 0)
+            with pytest.raises(ValueError, match=r"^base must be >= 1, got -4$"):
+                OpTable(kind, -4)
+            with pytest.raises(ValueError, match=rf"^table base must be <= {_MAX_BASE}, got {_MAX_BASE + 1}$"):
+                OpTable(kind, _MAX_BASE + 1)
+            assert OpTable(kind, _MAX_BASE).base == _MAX_BASE
+            with pytest.raises(TypeError):
+                OpTable(kind, 4.0)
 
     def test_stream_grid_guards(self):
-        with pytest.raises(ValueError, match="base must be >= 1"):
-            stream_grid("addition", 0)
-        with pytest.raises(ValueError, match="unknown table kind"):
-            stream_grid("division", 4)
+        """The builders make their tables, so they refuse what a table refuses."""
+        for build in (build_addition_table, build_multiplication_table):
+            with pytest.raises(ValueError, match="base must be >= 1"):
+                build(0)
+            with pytest.raises(ValueError, match="table base must be <="):
+                build(_MAX_BASE + 1)
+            with pytest.raises(TypeError):
+                build(4.0)
 
     def test_kind_guard(self):
-        with pytest.raises(ValueError):
-            OpTable("division", 4, {})
+        with pytest.raises(ValueError, match=r"^unknown table kind 'division'$"):
+            OpTable("division", 4)
 
 
 def test_tables_are_cached():
     assert build_addition_table(7) is build_addition_table(7)
     assert build_multiplication_table(7) is build_multiplication_table(7)
+
+
+def test_largest_tables_hold_no_cells():
+    """A table at the largest base, and a 1200 one, are made and looked up within 256 MB of address space.
+
+    The child limits itself, so the limit acts on that process only.
+    """
+    code = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+        "from zeroless import tables; "
+        "k = tables._MAX_BASE; "
+        "print(tables.build_multiplication_table(k).entry(k, k), tables.build_addition_table(1200).entry(1200, 1200))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"({_MAX_BASE - 1}, {_MAX_BASE}) (1, 1200)\n", "")
