@@ -1,4 +1,4 @@
-"""Small-operand, FASTA-read, table and CLI start latency of the zeroless library.
+"""Small-operand, FASTA-read, table, CLI start and trace latency of the zeroless library.
 
     python3 bench/scale.py [--calls N] [--repeat R] [--out DIR]
 
@@ -37,6 +37,13 @@ wall time of each is its ms per start; each CLI figure is also given
 scaled to a 15 ms bare start, as the benchmark's ``setup_s`` is, so
 that files from hosts of different speed can be compared.
 
+The trace section starts ``python -m zeroless.cli mul --trace x y`` as
+fresh processes, in the same environment, on two seeded base-10 operands
+of 100 digits each and two of 300, stdout on the null device, taking
+turns, R times each. The median wall time of each size is its ms per
+run, and the largest peak RSS of its processes, as ``wait4`` reports
+it, is its peak RSS.
+
 The figures, with the machine, the interpreter, the seed and the commit,
 go to DIR/BENCH_<date>_<commit>.json (DIR defaults to this script's
 folder, and is made if missing); when ``src`` differs from the commit,
@@ -72,6 +79,7 @@ TABLE_BASE = 300
 LONG_BASE, LONG_DIGITS = 4, (10**4, 10**5)
 TABLES = {"multiplication_human": ("mul",), "multiplication_machine": ("mul", "--machine")}
 CLI_STARTS = {"encode_1": ("encode", "1"), "unrank_123456789": ("unrank", "123456789")}
+TRACE_DIGITS = (100, 300)
 BARE_START_REF_MS = 15.0  # the bare start that scaled start figures are scaled to, as setup_s is
 
 
@@ -175,10 +183,16 @@ def _build_table(zl):
     zl.build_multiplication_table(TABLE_BASE)
 
 
-def _starts(repeat):
-    """Median ms of fresh CLI processes and of a bare interpreter, started in turns."""
+def _cli_env():
+    """This process's environment with this checkout's ``src`` on PYTHONPATH and no ZEROLESS_ variable."""
     env = {key: value for key, value in os.environ.items() if not key.startswith("ZEROLESS_")}
     env["PYTHONPATH"] = str(ROOT / "src")
+    return env
+
+
+def _starts(repeat):
+    """Median ms of fresh CLI processes and of a bare interpreter, started in turns."""
+    env = _cli_env()
     argvs = {name: [sys.executable, "-m", "zeroless.cli", *args] for name, args in CLI_STARTS.items()}
     argvs["bare"] = [sys.executable, "-I", "-S", "-c", "pass"]
     walls = {name: [] for name in argvs}
@@ -190,6 +204,34 @@ def _starts(repeat):
             if proc.returncode or proc.stderr:
                 raise RuntimeError(f"{' '.join(argv)} failed: {proc.stderr.decode(errors='replace')}")
     return {name: statistics.median(seconds) * 1e3 for name, seconds in walls.items()}
+
+
+def _traces(repeat):
+    """Median ms and largest peak RSS in MB of fresh ``mul --trace`` processes, the sizes in turns."""
+    rng = random.Random(SEED)
+    env = _cli_env()
+    argvs = {}
+    for h in TRACE_DIGITS:
+        x, y = ("".join(rng.choices("123456789X", k=h)) for _ in "xy")
+        argvs[f"mul_trace_{h}"] = [sys.executable, "-m", "zeroless.cli", "mul", "--trace", x, y]
+    walls = {name: [] for name in argvs}
+    peaks = dict.fromkeys(argvs, 0)
+    rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
+    for _ in range(repeat):
+        for name, argv in argvs.items():
+            t0 = perf_counter()
+            proc = subprocess.Popen(
+                argv, env=env, cwd=ROOT, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+            )
+            with proc.stderr:
+                err = proc.stderr.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            walls[name].append(perf_counter() - t0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode or err:
+                raise RuntimeError(f"zeroless {' '.join(argv[3:5])} failed: {err.decode(errors='replace')}")
+            peaks[name] = max(peaks[name], usage.ru_maxrss * rss_unit / 2**20)
+    return {name: statistics.median(seconds) * 1e3 for name, seconds in walls.items()}, peaks
 
 
 def measure(calls_per_kind: int, repeat: int) -> dict:
@@ -227,6 +269,7 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
             for key, (fn, args_list, count) in work.items():
                 best[key] = min(best[key], _time(fn, args_list) / count)
     start_ms = _starts(repeat)
+    trace_ms, trace_rss = _traces(repeat)
     per_call = {str(k): {} for k in BASES}
     for (name, k), seconds in best.items():
         if k in BASES:
@@ -267,6 +310,13 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
             "base": TABLE_BASE,
             "ms_per_table": {name: round(seconds * 1e3, 4) for (name, k), seconds in best.items() if k == "tables"},
         },
+        "traces": {
+            "base": 10,
+            "digits": list(TRACE_DIGITS),
+            "runs": repeat,
+            "ms_per_run": {name: round(ms, 2) for name, ms in trace_ms.items()},
+            "peak_rss_mb": {name: round(mb, 2) for name, mb in trace_rss.items()},
+        },
         "cli_starts": {
             "starts": repeat,
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
@@ -282,7 +332,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=300, help="calls per op kind and base")
     parser.add_argument(
-        "--repeat", type=int, default=25, help="timed passes per op kind, FASTA pass and table; starts per CLI command"
+        "--repeat",
+        type=int,
+        default=25,
+        help="timed passes per op kind, FASTA pass and table; starts per CLI command and trace size",
     )
     parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parent, help="folder for the JSON file")
     args = parser.parse_args(argv)

@@ -1,9 +1,11 @@
 """Command line front end: ranks, arithmetic, conversion, tables, DNA.
 
-Every subcommand is a thin shell over the library; results go to stdout
-with one final newline. Exit codes: 0 on success, 2 on usage errors,
-1 on domain errors, unreadable input and exhausted memory (message on
-stderr) and when the reader of stdout goes away early (no message).
+Every subcommand is a thin shell over the library that yields its
+output as newline-terminated lines; ``_write`` alone writes them to
+stdout, in batches of about 64 KiB. Exit codes: 0 on success, 2 on usage
+errors, 1 on domain errors, unreadable input and exhausted memory (the
+lines made before the error are written, then one message on stderr)
+and when the reader of stdout goes away early (no message).
 
 Each command's arguments are declared once, in ``_COMMANDS``. A plain
 argv (see ``_match``) is read from that table directly; any other, and
@@ -18,7 +20,8 @@ import types
 
 from zeroless import __version__, arithmetic, conversion, core, genome, tables
 
-_BATCH = 1024  # enumerate and rank write this many lines at a time
+# characters _write gathers per write: not lines, as one `table --machine` item is a row of up to 2**18 lines
+_BATCH = 1 << 16
 
 
 def _refusal(message: str):
@@ -77,113 +80,95 @@ def _alphabet_for(args):
     return base, core.default_alphabet(base)
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args):
     base, alpha = _alphabet_for(args)
-    print(core.format_lex(core.sigma(base, args.value), alpha))
-    return 0
+    yield core.format_lex(core.sigma(base, args.value), alpha) + "\n"
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args):
     base, alpha = _alphabet_for(args)
-    print(core.omega(core.parse_lex(args.numeral, base, alpha)))
-    return 0
+    yield f"{core.omega(core.parse_lex(args.numeral, base, alpha))}\n"
 
 
-def _cmd_succ(args) -> int:
+def _cmd_succ(args):
     base, alpha = _alphabet_for(args)
-    print(core.format_lex(core.successor(core.parse_lex(args.numeral, base, alpha)), alpha))
-    return 0
+    yield core.format_lex(core.successor(core.parse_lex(args.numeral, base, alpha)), alpha) + "\n"
 
 
-def _cmd_pred(args) -> int:
+def _cmd_pred(args):
     base, alpha = _alphabet_for(args)
-    print(core.format_lex(core.predecessor(core.parse_lex(args.numeral, base, alpha)), alpha))
-    return 0
+    yield core.format_lex(core.predecessor(core.parse_lex(args.numeral, base, alpha)), alpha) + "\n"
 
 
-def _cmd_add(args) -> int:
+def _cmd_add(args):
     base, alpha = _alphabet_for(args)
     total = arithmetic.add(core.parse_lex(args.x, base, alpha), core.parse_lex(args.y, base, alpha))
-    print(core.format_lex(total, alpha))
-    return 0
+    yield core.format_lex(total, alpha) + "\n"
 
 
-def _print_trace(trace):
-    for step in trace.steps:
-        print(step)
-    print(f"with-zero: {core.format_zero(trace.intermediate)}")
-
-
-def _cmd_mul(args) -> int:
+def _cmd_mul(args):
     base, alpha = _alphabet_for(args)
     x = core.parse_lex(args.x, base, alpha)
     y = core.parse_lex(args.y, base, alpha)
     if args.trace:
         product, trace = arithmetic.lattice_multiply(x, y, args.generators, trace=True)
-        _print_trace(trace)
+        yield from map("{}\n".format, trace.steps)
+        yield f"with-zero: {core.format_zero(trace.intermediate)}\n"
     elif args.generators is not None:
         product = arithmetic.lattice_multiply(x, y, args.generators)
     else:
         product = arithmetic.multiply(x, y)
-    print(core.format_lex(product, alpha))
-    return 0
+    yield core.format_lex(product, alpha) + "\n"
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args):
     base, alpha = _alphabet_for(args)
     if args.to == "zero":
-        z = conversion.theta_lex_to_zero(core.parse_lex(args.numeral, base, alpha))
-        print(core.format_zero(z))
+        yield core.format_zero(conversion.theta_lex_to_zero(core.parse_lex(args.numeral, base, alpha))) + "\n"
     else:
         z = core.parse_zero(args.numeral, base)
-        print(core.format_lex(conversion.theta_zero_to_lex(z), alpha))
-    return 0
+        yield core.format_lex(conversion.theta_zero_to_lex(z), alpha) + "\n"
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args):
     base, alpha = _alphabet_for(args)
     table = tables.OpTable("addition" if args.op == "add" else "multiplication", base)
-    sys.stdout.writelines((tables.table_rows if args.machine else tables.stream_grid)(table, alpha))
-    return 0
+    yield from (tables.table_rows if args.machine else tables.stream_grid)(table, alpha)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     base, alpha = _alphabet_for(args)
-    if not args.count:
-        return 0
     numeral = core.sigma(base, 0)
-    batch = []
-    for n in range(1, args.count + 1):
+    for _ in range(args.count):
         numeral = core.successor(numeral)
-        batch.append(core.format_lex(numeral, alpha))
-        if len(batch) == _BATCH or n == args.count:
-            sys.stdout.write("\n".join(batch) + "\n")
-            batch.clear()
-    return 0
+        yield core.format_lex(numeral, alpha) + "\n"
 
 
-def _cmd_rank(args) -> int:
-    if args.fasta == "-":
-        # the bytes under a text stdin, so that they decode as a file's do
-        source = getattr(sys.stdin, "buffer", sys.stdin)
-    else:
-        source = args.fasta
+def _cmd_rank(args):
+    # "-": the bytes under a text stdin, so that they decode as a file's do
+    source = getattr(sys.stdin, "buffer", sys.stdin) if args.fasta == "-" else args.fasta
     rank = genome.rank_sequence
-    lines = []
+    for rec in genome.read_fasta(source, policy=args.policy):
+        yield f"{rec.id}\t{rank(rec.sequence)}\n"
+
+
+def _cmd_unrank(args):
+    yield genome.unrank_sequence(args.rank) + "\n"
+
+
+def _write(lines):
+    """Write newline-terminated lines to stdout, joined once about _BATCH
+    characters are pending; the lines made before an error are written too."""
+    pending, size = [], 0
     try:
-        for rec in genome.read_fasta(source, policy=args.policy):
-            lines.append(f"{rec.id}\t{rank(rec.sequence)}\n")
-            if len(lines) == _BATCH:
-                sys.stdout.write("".join(lines))
-                lines.clear()
-    finally:  # the records before a bad one are still printed
-        sys.stdout.write("".join(lines))
-    return 0
-
-
-def _cmd_unrank(args) -> int:
-    print(genome.unrank_sequence(args.rank))
-    return 0
+        for line in lines:
+            pending.append(line)
+            size += len(line)
+            if size >= _BATCH:
+                sys.stdout.write("".join(pending))
+                pending, size = [], 0
+    finally:
+        sys.stdout.write("".join(pending))
 
 
 def _arg(*flags, **kw):
@@ -361,9 +346,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _match(argv) or _build_parser().parse_args(argv)
     try:
-        code = args.run(args)
+        _write(args.run(args))
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # the reader went away (`zeroless enumerate ... | head`): point
         # stdout at devnull so the flush at exit cannot fail again

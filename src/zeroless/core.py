@@ -29,8 +29,10 @@ _BRACKETED = tuple(f"[{v}]" for v in range(_SET_BASES + 1))  # value: bracket ci
 # an ASCII symbol set reads and writes text through byte tables, where this
 # byte marks a character that is no symbol (such a set has at most 92)
 _NO_SYMBOL = 255
-_LEX_TESTS = {}  # base: digit test of LexNumeral
-_ZERO_TESTS = {}  # base: digit test of ZeroNumeral
+# base: digit test of LexNumeral or ZeroNumeral up to _SET_BASES, made on
+# first use; lists, so that a base that is no int cannot hit a cached test
+_LEX_TESTS = [None] * (_SET_BASES + 1)
+_ZERO_TESTS = [None] * (_SET_BASES + 1)
 
 #: Names accepted wherever an alphabet can be passed by name.
 NAMED_ALPHABETS = ("acgt", "decimal-x", "bracket")
@@ -88,13 +90,14 @@ class _Frozen:
 
 
 def _digit_test(tests, base, low):
-    """Test that each digit of a tuple is in [low, base + low - 1].
+    """Test that each digit of a tuple is in [low, base + low - 1], for a base >= 1.
 
     Up to _SET_BASES it is a frozenset's ``issuperset``, cached in
     ``tests``: each digit must equal a valid one. Above, it takes min and
-    max of the digits as ints, so a digit that is no int fails.
+    max of the digits as ints, so a digit that is no int fails. A base
+    that is no int is a TypeError.
     """
-    high = base + low - 1
+    high = operator.index(base) + low - 1
     if base <= _SET_BASES:
         tests[base] = frozenset(range(low, high + 1)).issuperset
         return tests[base]
@@ -193,16 +196,6 @@ class _Numeral(_Frozen):
         _set_digits(self, tuple(digits))
         self.__post_init__()  # a class attribute, so wrappers see every construction
 
-    # written out rather than inherited: numerals are compared and hashed
-    # in hot loops, where the generic field getter costs about a quarter more
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.digits) == (other.base, other.digits)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.digits))
-
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -220,7 +213,13 @@ class LexNumeral(_Numeral):
         base, digits = self.base, self.digits
         if base < 1:
             raise ValueError(f"base must be >= 1, got {_echo_int(base)}")
-        if digits and not (_LEX_TESTS.get(base) or _digit_test(_LEX_TESTS, base, 1))(digits):
+        try:
+            test = _LEX_TESTS[base] if base <= _SET_BASES else None
+        except TypeError:  # no int, which _digit_test refuses
+            test = None
+        if test is None:
+            test = _digit_test(_LEX_TESTS, base, 1)
+        if digits and not test(digits):
             raise ValueError(f"digits {digits} not all in [1, {_echo_int(base)}]")
 
     @property
@@ -244,9 +243,15 @@ class ZeroNumeral(_Numeral):
         base, digits = self.base, self.digits
         if base < 2:
             raise ValueError(f"with-zero base must be >= 2, got {_echo_int(base)}")
+        try:
+            test = _ZERO_TESTS[base] if base <= _SET_BASES else None
+        except TypeError:  # no int, which _digit_test refuses
+            test = None
+        if test is None:
+            test = _digit_test(_ZERO_TESTS, base, 0)
         if not digits:
             raise ValueError("with-zero numeral needs at least one digit; zero is (0,)")
-        if not (_ZERO_TESTS.get(base) or _digit_test(_ZERO_TESTS, base, 0))(digits):
+        if not test(digits):
             raise ValueError(f"digits {digits} not all in [0, {_echo_int(base - 1)}]")
         if len(digits) > 1 and digits[0] == 0:
             raise ValueError("leading zero: with-zero numerals are canonical")

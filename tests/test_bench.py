@@ -35,6 +35,11 @@ def test_scale_script_writes_its_json(tmp_path):
     assert tables["base"] == 300
     assert set(tables["ms_per_table"]) == {"multiplication_human", "multiplication_machine", "multiplication_build"}
     assert all(ms > 0 for ms in tables["ms_per_table"].values())
+    traces = result["traces"]
+    assert (traces["base"], traces["digits"], traces["runs"]) == (10, [100, 300], 1)
+    names = {"mul_trace_100", "mul_trace_300"}
+    assert set(traces["ms_per_run"]) == set(traces["peak_rss_mb"]) == names
+    assert all(value > 0 for value in [*traces["ms_per_run"].values(), *traces["peak_rss_mb"].values()])
     starts = result["cli_starts"]
     assert starts["starts"] == 1
     assert set(starts["ms_per_start"]) == {"encode_1", "unrank_123456789", "bare"}

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,19 @@ class TestEnumerate:
     def test_count_zero(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--count", "0")
         assert (code, out) == (0, "")
+
+    def test_count_zero_still_checks_the_base(self, capsys):
+        assert run(capsys, "enumerate", "-b", "0", "--count", "0") == (1, "", "error: base must be >= 1, got 0\n")
+
+    def test_output_is_written_in_batches(self, monkeypatch):
+        # each write but the last is the first lines that reach _BATCH characters
+        writes = []
+        monkeypatch.setattr("sys.stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
+        assert main(["enumerate", "--count", "30000", "-b", "60"]) == 0
+        alpha = core.default_alphabet(60)
+        assert "".join(writes) == "".join(core.format_lex(core.sigma(60, n), alpha) + "\n" for n in range(1, 30001))
+        assert len(writes) > 3 and all(cli._BATCH <= len(w) < cli._BATCH + 16 for w in writes[:-1])
+        assert 0 < len(writes[-1]) < cli._BATCH + 16
 
     @pytest.mark.parametrize("base, count", [(1, 40), (4, 3000), (60, 4000)])
     def test_matches_sigma(self, capsys, base, count):
@@ -632,6 +646,53 @@ def test_table_output_is_pinned(capsys):
                     argv = ["table", op, *machine, "-b", str(k), *alphabet]
                     digest.update(repr((argv, *run(capsys, *argv))).encode())
     assert digest.hexdigest() == "e1da43ff8ef93c6c78e89067c0c0651fbe6dcea7"
+
+
+# generator sets for `mul --generators` per base, some of them failing a cell
+_PIN_GENERATORS = {1: ("1",), 4: ("1,2", "2", "2,3"), 10: ("1,5", "2", "3,4"), 60: ("1,30", "2", "7,11")}
+
+
+def test_command_output_is_pinned(capsys):
+    # 200 seeded runs of encode, decode, succ, pred, add, mul (with and
+    # without --generators), convert both ways, enumerate and unrank, in
+    # bases 1, 4, 10 and 60, in the default symbols, ACGT and brackets,
+    # some with a refused input: one sha1 over every argv, exit code,
+    # stdout and stderr holds their bytes while the output path moves.
+    rng = random.Random(24)
+    digest = hashlib.sha1()
+
+    def numeral(k, alpha):
+        digits = tuple(rng.choices(range(1, k + 1), k=rng.randint(0, 12)))
+        text = core.format_lex(core.LexNumeral(k, digits), alpha)
+        return text if rng.random() > 0.1 else text + rng.choice(["0", "[0]", "?", "[61]"])
+
+    for i in range(200):
+        command = ("encode", "decode", "succ", "pred", "add", "mul", "mul", "to-zero", "to-lex", "enumerate",
+                   "unrank")[i % 11]
+        k = rng.choice((1, 4, 10, 60))
+        options = rng.choice([(), ("-a", "bracket")] + [("-a", "acgt")] * (k == 4))
+        alpha = core.Alphabet.named(options[1], k) if options else core.default_alphabet(k)
+        head = [command, "-b", str(k), *options]
+        if command == "encode":
+            argv = head + [str(rng.randrange(60 if k == 1 else 10 ** rng.randint(1, 30)))]
+        elif command in ("decode", "succ", "pred"):
+            argv = head + [numeral(k, alpha)]
+        elif command in ("add", "mul"):
+            argv = head + [numeral(k, alpha), numeral(k, alpha)]
+            if command == "mul" and i % 11 == 6:
+                argv += ["--generators", rng.choice(_PIN_GENERATORS[k])]
+        elif command == "to-zero":
+            argv = ["convert", "--to", "zero", *head[1:], numeral(k, alpha)]
+        elif command == "to-lex":
+            value = rng.randrange(10 ** rng.randint(1, 20))
+            text = core.format_zero(zeroless.delta(k, value)) if k > 1 else str(value)
+            argv = ["convert", "--to", "lex", *head[1:], text if rng.random() > 0.1 else "0" + text]
+        elif command == "enumerate":
+            argv = head + ["--count", str(rng.randint(0, 50))]
+        else:
+            argv = ["unrank", str(rng.randrange(10 ** rng.randint(1, 40)))]
+        digest.update(repr((argv, *run(capsys, *argv))).encode())
+    assert digest.hexdigest() == "84258f9a2c4bd9080b46ae1756c4df24642832a3"
 
 
 _OPTIONS = "[-h] [--base BASE] [--alphabet ALPHABET]"

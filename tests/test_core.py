@@ -176,6 +176,27 @@ class TestDigitCheck:
         with pytest.raises(ValueError):
             ZeroNumeral(2**31, (1, 0.0))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LexNumeral(300.0, (1, 2)),
+            lambda: LexNumeral(4.0, (1, 2)),
+            lambda: LexNumeral(4.0, ()),
+            lambda: ZeroNumeral(4.0, (1, 2)),
+            lambda: ZeroNumeral(300.0, (1, 2)),
+            lambda: ZeroNumeral(4.0, ()),
+            lambda: sigma(4.0, 6),
+        ],
+        ids=["lex-300", "lex-4", "lex-4-empty", "zero-4", "zero-300", "zero-4-empty", "sigma-4"],
+    )
+    def test_a_base_that_is_no_int_is_refused(self, make):
+        # whatever is cached: base 4's digit tests are made first, and an
+        # equal float must not reach them
+        LexNumeral(4, (1,)), ZeroNumeral(4, (1,))
+        for _ in range(2):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                make()
+
     def test_digits_are_kept_as_a_tuple(self):
         a = LexNumeral(10, [1, 2])
         assert a.digits == (1, 2) and hash(a) == hash(LexNumeral(10, (1, 2)))
