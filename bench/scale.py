@@ -32,10 +32,15 @@ passes is the ms per table.
 The CLI start section starts ``python -m zeroless.cli encode 1`` and
 ``python -m zeroless.cli unrank 123456789`` as fresh processes, with
 ``src`` on PYTHONPATH and this process's environment otherwise, taking
-turns with a bare ``python -I -S -c pass``, R times each. The median
-wall time of each is its ms per start; each CLI figure is also given
-scaled to a 15 ms bare start, as the benchmark's ``setup_s`` is, so
-that files from hosts of different speed can be compared.
+turns with a bare ``python -I -S -c pass`` and with the phases of a
+start: ``python -c pass`` (the interpreter with ``site``) and ``python
+-c "import zeroless.cli"`` (the package imported too), R times each.
+The median wall time of each is its ms per start; each figure but the
+bare one is also given scaled to a 15 ms bare start, as the benchmark's
+``setup_s`` is, so that files from hosts of different speed can be
+compared. ``compile()`` of each ``src/zeroless`` file, as an import
+without a bytecode cache runs it, takes turns with the op kinds; the
+fastest of R passes is the file's compile ms, and their sum is given.
 
 The trace section starts ``python -m zeroless.cli mul --trace x y`` as
 fresh processes, in the same environment, on two seeded base-10 operands
@@ -79,6 +84,8 @@ TABLE_BASE = 300
 LONG_BASE, LONG_DIGITS = 4, (10**4, 10**5)
 TABLES = {"multiplication_human": ("mul",), "multiplication_machine": ("mul", "--machine")}
 CLI_STARTS = {"encode_1": ("encode", "1"), "unrank_123456789": ("unrank", "123456789")}
+# phases of a CLI start, as interpreter arguments: site alone, then the package imported too
+PHASE_STARTS = {"site": ("-c", "pass"), "import_cli": ("-c", "import zeroless.cli")}
 TRACE_DIGITS = (100, 300)
 BARE_START_REF_MS = 15.0  # the bare start that scaled start figures are scaled to, as setup_s is
 
@@ -191,9 +198,10 @@ def _cli_env():
 
 
 def _starts(repeat):
-    """Median ms of fresh CLI processes and of a bare interpreter, started in turns."""
+    """Median ms of fresh CLI processes, of the phases of a start and of a bare interpreter, started in turns."""
     env = _cli_env()
-    argvs = {name: [sys.executable, "-m", "zeroless.cli", *args] for name, args in CLI_STARTS.items()}
+    argvs = {name: [sys.executable, *args] for name, args in PHASE_STARTS.items()}
+    argvs.update({name: [sys.executable, "-m", "zeroless.cli", *args] for name, args in CLI_STARTS.items()})
     argvs["bare"] = [sys.executable, "-I", "-S", "-c", "pass"]
     walls = {name: [] for name in argvs}
     for _ in range(repeat):
@@ -264,12 +272,16 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
             argv = ["table", *args, "-b", str(TABLE_BASE)]
             work[name, "tables"] = (_table, [(zl, argv, sink)], 1)
         work["multiplication_build", "tables"] = (_build_table, [(zl,)], 1)
+        for path in sorted((ROOT / "src" / "zeroless").glob("*.py")):
+            # what an import without a bytecode cache compiles: the file's bytes, no flags of this script
+            work[path.name, "compile"] = (compile, [(path.read_bytes(), str(path), "exec", 0, True)], 1)
         best = dict.fromkeys(work, float("inf"))
         for _ in range(repeat):  # the kinds take turns, so a slow spell of the host hits them alike
             for key, (fn, args_list, count) in work.items():
                 best[key] = min(best[key], _time(fn, args_list) / count)
     start_ms = _starts(repeat)
     trace_ms, trace_rss = _traces(repeat)
+    compile_ms = {name: seconds * 1e3 for (name, k), seconds in best.items() if k == "compile"}
     per_call = {str(k): {} for k in BASES}
     for (name, k), seconds in best.items():
         if k in BASES:
@@ -322,7 +334,13 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "ms_per_start": {name: round(ms, 2) for name, ms in start_ms.items()},
             "scaled_ms_per_start": {
-                name: round(start_ms[name] * BARE_START_REF_MS / start_ms["bare"], 2) for name in CLI_STARTS
+                name: round(ms * BARE_START_REF_MS / start_ms["bare"], 2)
+                for name, ms in start_ms.items()
+                if name != "bare"
+            },
+            "compile_ms": {
+                "files": {name: round(ms, 3) for name, ms in compile_ms.items()},
+                "sum": round(sum(compile_ms.values()), 3),
             },
         },
     }

@@ -10,10 +10,18 @@ and when the reader of stdout goes away early (no message).
 Each command's arguments are declared once, in ``_COMMANDS``. A plain
 argv (see ``_match``) is read from that table directly; any other, and
 every request for help, goes to the argparse parser built from it.
+
+``run()`` is the entry of a zeroless process, for ``python -m
+zeroless.cli`` and the installed ``zeroless`` script alike: it freezes
+the import-time heap, so that the full collections of interpreter exit
+skip it, and exits with ``main()``'s code. ``main(argv)`` is the entry
+in process, for tests and library callers; it leaves the collector as
+it finds it.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import types
@@ -362,5 +370,16 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run():
+    """Run ``main()`` on sys.argv as a process and exit with its code.
+
+    Everything alive once the package is imported lives until exit, so
+    ``gc.freeze()`` moves it out of the collector's reach: the full
+    collections that finalization runs then walk none of it.
+    """
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -10,6 +10,8 @@ preserve the value exactly and are mutually inverse on canonical forms.
 
 from __future__ import annotations
 
+import operator
+
 from zeroless import _backend, radix
 from zeroless.core import LexNumeral, ZeroNumeral, _echo_int
 
@@ -24,7 +26,7 @@ def delta(k: int, n: int) -> ZeroNumeral:
     if n < 0:
         raise ValueError(f"value must be >= 0, got {_echo_int(n)}")
     if k < 2:
-        raise ValueError(f"with-zero base must be >= 2, got {_echo_int(k)}")
+        raise ValueError(f"with-zero base must be >= 2, got {_echo_int(operator.index(k))}")
     return ZeroNumeral(k, (n,) if n < k else radix.digits(n, k, 0))
 
 

@@ -211,8 +211,8 @@ class LexNumeral(_Numeral):
 
     def __post_init__(self):
         base, digits = self.base, self.digits
-        if base < 1:
-            raise ValueError(f"base must be >= 1, got {_echo_int(base)}")
+        if base < 1:  # operator.index: a float base is a TypeError here too, as above the range
+            raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(base))}")
         try:
             test = _LEX_TESTS[base] if base <= _SET_BASES else None
         except TypeError:  # no int, which _digit_test refuses
@@ -242,7 +242,7 @@ class ZeroNumeral(_Numeral):
     def __post_init__(self):
         base, digits = self.base, self.digits
         if base < 2:
-            raise ValueError(f"with-zero base must be >= 2, got {_echo_int(base)}")
+            raise ValueError(f"with-zero base must be >= 2, got {_echo_int(operator.index(base))}")
         try:
             test = _ZERO_TESTS[base] if base <= _SET_BASES else None
         except TypeError:  # no int, which _digit_test refuses
@@ -310,7 +310,7 @@ def maxlex(k: int, h: int) -> int:
 def minlex(k: int, h: int) -> int:
     """Smallest rank with representation length h: sum of k^0..k^(h-1)."""
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
     if h < 0:
         raise ValueError(f"length must be >= 0, got {_echo_int(h)}")
     if k == 1:
@@ -332,7 +332,7 @@ def lex_length(k: int, n: int) -> int:
     boundary values such as n == maxlex(k, h) stay exact.
     """
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
     if n < 1:
         raise ValueError("zero is the empty string; it has no length")
     if k == 1:
@@ -348,7 +348,7 @@ def sigma(k: int, n: int) -> LexNumeral:
     with-zero digits, each raised by one, is the numeral.
     """
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {_echo_int(n)}")
     if k == 1:
@@ -364,7 +364,7 @@ def sigma_oracle(k: int, n: int) -> LexNumeral:
     agree everywhere.
     """
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {_echo_int(n)}")
     if k == 1:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "scale.py"
 
 
@@ -42,9 +44,13 @@ def test_scale_script_writes_its_json(tmp_path):
     assert all(value > 0 for value in [*traces["ms_per_run"].values(), *traces["peak_rss_mb"].values()])
     starts = result["cli_starts"]
     assert starts["starts"] == 1
-    assert set(starts["ms_per_start"]) == {"encode_1", "unrank_123456789", "bare"}
-    assert set(starts["scaled_ms_per_start"]) == {"encode_1", "unrank_123456789"}
+    assert set(starts["ms_per_start"]) == {"encode_1", "unrank_123456789", "site", "import_cli", "bare"}
+    assert set(starts["scaled_ms_per_start"]) == {"encode_1", "unrank_123456789", "site", "import_cli"}
     assert all(ms > 0 for ms in [*starts["ms_per_start"].values(), *starts["scaled_ms_per_start"].values()])
+    compiled = starts["compile_ms"]
+    assert set(compiled["files"]) == {path.name for path in (SCRIPT.parents[1] / "src" / "zeroless").glob("*.py")}
+    assert all(ms > 0 for ms in compiled["files"].values())
+    assert compiled["sum"] == pytest.approx(sum(compiled["files"].values()), abs=0.01)
 
 
 def test_scale_script_refuses_an_out_it_cannot_make(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import os
@@ -762,6 +763,37 @@ def test_closed_stdout_exits_quietly():
     proc.stdout.close()  # the reader goes away while the writer is mid-stream
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    """``python -m zeroless.cli`` runs ``run()``, which freezes every object alive before the command runs."""
+    code = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+        "sys.argv = ['zeroless', 'encode', '38070']; "
+        "runpy.run_module('zeroless.cli', run_name='__main__', alter_sys=True)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "37X6X\n")
+    assert int(proc.stderr) > 0
+
+
+def test_main_leaves_the_collector_as_it_finds_it(capsys):
+    """In process, ``main()`` freezes nothing: tests and library callers keep a normal collector."""
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "encode", "1") == (0, "1\n", "")
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["encode", "1"], 0), (["--version"], 0), (["mul", "--generators", "2", "3", "3"], 1), (["encode", "-5"], 2)],
+)
+def test_process_entry_exit_codes(argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "zeroless.cli", *argv], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
 
 
 # the words an argv is drawn from: every flag the table declares, values

@@ -10,6 +10,7 @@ from zeroless import (
     LexNumeral,
     ZeroNumeral,
     default_alphabet,
+    delta,
     format_lex,
     format_zero,
     lex_length,
@@ -186,8 +187,18 @@ class TestDigitCheck:
             lambda: ZeroNumeral(300.0, (1, 2)),
             lambda: ZeroNumeral(4.0, ()),
             lambda: sigma(4.0, 6),
+            # below the range, where the range check runs first
+            lambda: LexNumeral(0.5, ()),
+            lambda: ZeroNumeral(1.5, (0,)),
+            lambda: sigma(0.5, 1),
+            lambda: sigma_oracle(0.5, 1),
+            lambda: minlex(0.5, 1),
+            lambda: maxlex(0.5, 1),
+            lambda: lex_length(0.5, 1),
+            lambda: delta(1.5, 1),
         ],
-        ids=["lex-300", "lex-4", "lex-4-empty", "zero-4", "zero-300", "zero-4-empty", "sigma-4"],
+        ids=["lex-300", "lex-4", "lex-4-empty", "zero-4", "zero-300", "zero-4-empty", "sigma-4", "lex-0.5",
+             "zero-1.5", "sigma-0.5", "sigma_oracle-0.5", "minlex-0.5", "maxlex-0.5", "lex_length-0.5", "delta-1.5"],
     )
     def test_a_base_that_is_no_int_is_refused(self, make):
         # whatever is cached: base 4's digit tests are made first, and an
@@ -624,8 +635,8 @@ class TestParseFormat:
             with pytest.raises(ValueError, match=r"7777\.\.\. \(100000 digits\)\]?$") as exc:
                 fail()
             assert len(str(exc.value)) < 120
-        with pytest.raises(ValueError, match=r"got -1e\+50$"):  # not an int: str() of it
-            LexNumeral(-1e50, ())
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            LexNumeral(-1e50, ())  # no int, so no echo: refused as any float base is
 
     @settings(max_examples=300)
     @given(st.one_of(st.integers(-(10**120), 10**120), st.integers(30, 400).flatmap(
