@@ -44,10 +44,10 @@ fastest of R passes is the file's compile ms, and their sum is given.
 
 The trace section starts ``python -m zeroless.cli mul --trace x y`` as
 fresh processes, in the same environment, on two seeded base-10 operands
-of 100 digits each and two of 300, stdout on the null device, taking
-turns, R times each. The median wall time of each size is its ms per
-run, and the largest peak RSS of its processes, as ``wait4`` reports
-it, is its peak RSS.
+of 100 digits each, two of 300 and two of 1000, stdout on the null
+device, taking turns, R times each. The median wall time of each size
+is its ms per run, and the largest peak RSS of its processes, as
+``wait4`` reports it, is its peak RSS.
 
 The figures, with the machine, the interpreter, the seed and the commit,
 go to DIR/BENCH_<date>_<commit>.json (DIR defaults to this script's
@@ -86,7 +86,7 @@ TABLES = {"multiplication_human": ("mul",), "multiplication_machine": ("mul", "-
 CLI_STARTS = {"encode_1": ("encode", "1"), "unrank_123456789": ("unrank", "123456789")}
 # phases of a CLI start, as interpreter arguments: site alone, then the package imported too
 PHASE_STARTS = {"site": ("-c", "pass"), "import_cli": ("-c", "import zeroless.cli")}
-TRACE_DIGITS = (100, 300)
+TRACE_DIGITS = (100, 300, 1000)
 BARE_START_REF_MS = 15.0  # the bare start that scaled start figures are scaled to, as setup_s is
 
 

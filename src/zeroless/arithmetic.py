@@ -2,22 +2,20 @@
 
 Addition, single-digit scaling and the shift by the base work digit-wise
 on the zeroless strings themselves. Full multiplication goes through
-ranks instead: the rank map is a value-preserving bijection, so the
-product is sigma(k, omega(a) * omega(b)), one bignum multiplication
-between two radix conversions. The digit-string schoolbook stays in
-``_backend.multiply_digits`` as the reference it is tested against.
-Lattice multiplication works on digits by design: its per-cell products
-are collected in with-zero columns, summed with ordinary carries, and
-the finished intermediate is rewritten as a zeroless string at the very
-end. Cells whose digit products are inconvenient to know by heart can be
-split over a set of generator digits; the partial products then land in
-the same columns. Each digit is tested against the sums of generators
-first; the lattice itself runs only when its trace is asked for, and
-without one the product is taken by rank.
+ranks: the product is sigma(k, omega(a) * omega(b)), one bignum
+multiplication between two radix conversions. The digit-string
+schoolbook stays in ``_backend.multiply_digits`` as the reference.
+The lattice is kept for its trace: ``lattice_steps`` streams the cells'
+products into with-zero columns and sums them with ordinary carries.
+Cells may be restricted to a set of generator digits; a cell with
+neither digit among them splits one into the fewest generators, found
+by a bounded search. Every digit is checked against the generators
+first, and the product itself is taken by rank.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 from zeroless import _backend
@@ -64,50 +62,10 @@ class LatticeTrace(_Frozen):
 
     __slots__ = ("columns", "steps", "intermediate")
 
-    def __init__(
-        self, columns: tuple[tuple[int, ...], ...], steps: tuple[str, ...], intermediate: ZeroNumeral
-    ):
+    def __init__(self, columns: tuple, steps: tuple, intermediate: ZeroNumeral):
         _set(self, "columns", columns)
         _set(self, "steps", steps)
         _set(self, "intermediate", intermediate)
-
-
-class _Splits:
-    """Fewest-parts sums of generators, worked out up to the largest value asked.
-
-    Coin change by dynamic programming over 0..value: ``first[v]`` is the
-    first part of the fewest-parts sum making v.
-    Among sums with the fewest parts the one with the largest parts wins:
-    generators are tried largest first and a later one only replaces an
-    earlier one on a strictly shorter sum, so the parts come out largest
-    first. It is asked only for values that some sum makes, since
-    ``lattice_multiply`` checks every digit first.
-    """
-
-    def __init__(self, generators: tuple):
-        self.generators = generators  # sorted descending
-        self.count = [0]  # fewest parts making v, None when no sum does
-        self.first = [0]
-
-    def _extend(self, value: int) -> None:
-        count, first = self.count, self.first
-        for v in range(len(count), value + 1):
-            best, pick = None, 0
-            for g in self.generators:
-                if g <= v and count[v - g] is not None and (best is None or count[v - g] + 1 < best):
-                    best, pick = count[v - g] + 1, g
-            count.append(best)
-            first.append(pick)
-
-    def parts(self, value: int) -> list:
-        self._extend(value)
-        first = self.first
-        parts = []
-        while value:
-            g = first[value]
-            parts.append(g)
-            value -= g
-        return parts
 
 
 _UNSET = bytes.maketrans(b"01", b"\1\0")  # bit string: 1 at each unset bit
@@ -141,97 +99,139 @@ def _unmade_test(k: int, gens: tuple):
     return lambda d: d < least.get(d % g, d + 1)
 
 
-def _cell_products(xd: int, yd: int, generators: tuple, splits: _Splits | None, unmade) -> tuple:
-    """(left, right, product) triples a single cell contributes."""
-    if not generators or xd in generators or yd in generators:
-        return ((xd, yd, xd * yd),)
-    if unmade is None or not unmade(yd):
-        return tuple((xd, g, xd * g) for g in splits.parts(yd))
-    return tuple((g, yd, g * yd) for g in splits.parts(xd))
+_SPLIT_STEPS = 1 << 16  # branches one cell split may try before the trace is refused
+
+
+def _largest_count(rest: int, a: int, b: int) -> tuple:
+    """The largest c with a*c <= rest and rest - a*c a multiple of b (c < 0 if none), and the step to
+    the next; rest is a multiple of gcd(a, b). With b = 0, no generator after a, c is rest // a."""
+    if not b:
+        return rest // a, 1
+    h = math.gcd(a, b)
+    m = b // h
+    top = rest // a
+    return top - (top - rest // h * pow(a // h, -1, m)) % m, m
+
+
+def _split(d: int, gens: tuple):
+    """The fewest gens (sorted descending) that sum to d, as (generator, count) runs; None if no sum does.
+
+    Branch and bound over each generator's count, largest generator and
+    largest count first, so the first fewest-parts sum found has the
+    largest parts. A count is tried only when what it leaves is a multiple
+    of the gcd of the generators after it, the last two generators take
+    their counts in closed form, and a branch that needs as many parts as
+    the best sum yet is cut. So work grows with the generators and the
+    branches, not with d; past _SPLIT_STEPS steps the split is refused.
+    """
+    r = len(gens)
+    tail = [0] * (r + 1)  # tail[i]: gcd of gens[i:]
+    for i in range(r - 1, -1, -1):
+        tail[i] = math.gcd(gens[i], tail[i + 1])
+    if d % tail[0]:
+        return None
+    best, runs = d + 1, None
+    frames = [[d, 0, *_largest_count(d, gens[0], tail[1])]]  # per generator: rest, parts before, count, step
+    for _ in range(_SPLIT_STEPS):
+        i = len(frames) - 1
+        rest, used, c, _ = frames[i]
+        left = rest - gens[i] * c
+        if c >= 0 and used + c + (-(-left // gens[i + 1]) if left else 0) < best:
+            if left:
+                frames.append([left, used + c, *_largest_count(left, gens[i + 1], tail[i + 2])])
+                continue
+            best, runs = used + c, [(g, f[2]) for g, f in zip(gens, frames) if f[2]]
+        else:  # a smaller count needs no fewer parts: this generator is done
+            frames.pop()
+            if not frames:
+                return runs
+        frame = frames[-1]  # its next count; the last two generators take only their largest
+        frame[2] = frame[2] - frame[3] if len(frames) < r - 1 else -1
+    raise ValueError(f"digit {_echo_int(d)}: no split into generators {sorted(gens)} in {_SPLIT_STEPS} steps")
+
+
+def _lattice_rule(x: LexNumeral, y: LexNumeral, generators) -> tuple:
+    """(gens sorted descending, test for unmade digits or None) once every cell of x by y is checked."""
+    _check_same_base(x, y)
+    k = x.base
+    if k < 2:
+        raise ValueError("lattice multiplication needs a base >= 2")
+    gens = () if generators is None else tuple(sorted(set(map(operator.index, generators)), reverse=True))
+    if generators is not None and not gens:
+        raise ValueError("generator set must not be empty")
+    for g in gens:
+        if not 1 <= g <= k:
+            raise ValueError(f"generator {_echo_int(g)} out of range [1, {_echo_int(k)}]")
+    if not gens or gens[-1] == 1 or x.is_zero or y.is_zero:
+        return gens, None  # every digit is made, or there is no cell
+    # a cell fails when both its digits do: the first unmade digits of x and y
+    unmade = _unmade_test(k, gens)
+    yd = next(filter(unmade, y.digits), None)
+    xd = next(filter(unmade, x.digits), None) if yd else None
+    if xd:
+        raise ValueError(f"cell {xd} x {yd}: neither digit decomposes into generators {sorted(gens)}")
+    return gens, unmade
+
+
+def lattice_steps(x: LexNumeral, y: LexNumeral, generators=None, columns: list | None = None):
+    """The lattice's trace lines: each cell's products row-major, then each column's sum.
+
+    A cell with neither digit among the generators splits its right digit,
+    or else its left one, into the fewest generators that sum to it,
+    largest first, one line per part. Every digit is checked, and every
+    split searched, before the first line. Columns are numbered 1 up from
+    the least significant; their int entries are kept in ``columns``.
+    """
+    gens, unmade = _lattice_rule(x, y, generators)
+    if x.is_zero or y.is_zero:
+        return
+    k, m, n = x.base, len(x.digits), len(y.digits)
+    xs = set(x.digits).difference(gens) if gens else ()  # a cell splits only when its x digit is here
+    ys = set(y.digits).difference(gens)
+    made = {d for d in ys if unmade is None or not unmade(d)}  # split in their cells; an unmade one splits x
+    splits = {d: _split(d, gens) for d in sorted(made if made == ys else made | xs)} if xs else {}
+    columns = [] if columns is None else columns
+    columns += ([] for _ in range(m + n))
+    for i, xd in enumerate(x.digits, 1):
+        for j, yd in enumerate(y.digits, 1):
+            if xd not in xs or yd in gens:
+                parts = ((xd, yd),)
+            elif yd in splits:
+                parts = ((xd, g) for g, count in splits[yd] for _ in range(count))
+            else:
+                parts = ((g, yd) for g, count in splits[xd] for _ in range(count))
+            c = m - i + n - j
+            for a, b in parts:
+                p = a * b
+                columns[c].append(p % k)
+                columns[c + 1].append(p // k)
+                yield (f"cell ({i},{j}): {a}*{b} = {p}, digit {p % k} in column {c + 1}, "
+                       f"carry {p // k} to column {c + 2}")
+    carry = 0
+    for c, col in enumerate(columns, 1):
+        total = sum(col) + carry
+        yield (f"column {c}: {'+'.join(map(str, col))} + carry {carry} = {total}"
+               f" -> digit {total % k}, carry {total // k}")
+        carry = total // k
 
 
 def lattice_multiply(x: LexNumeral, y: LexNumeral, generators=None, trace: bool = False):
     """Product of two zeroless numerals via the lattice of digit products.
 
     Every cell (i, j) sends the low part of its product to column i + j
-    and the overflow to column i + j + 1; the columns are summed right to
-    left with ordinary carries and the resulting with-zero numeral is
-    rewritten as a zeroless string. ``generators`` restricts which digit
-    products the cells may use (None allows them all; an explicit empty
-    set is an error): a cell with neither digit in the set splits its
-    right digit, or else its left one, into the fewest generators that
-    sum to it, largest first. With ``trace=True`` the return value is a
-    (result, LatticeTrace) pair instead of the bare result.
-
-    Every digit is tested against the generators first: the first failing
-    cell (row-major) is reported before any cell is written. Without a
-    trace the product is then taken by rank, the lattice's own result.
+    and the overflow to column i + j + 1; the columns summed with carries
+    give the with-zero numeral of the product. ``generators`` restricts
+    the cells' products as in ``lattice_steps`` (None allows them all; an
+    empty set is an error), and the first cell, row-major, neither of
+    whose digits a sum of generators makes is refused. The product is
+    taken by rank; ``trace=True`` returns it with a LatticeTrace of
+    ``lattice_steps``.
     """
-    _check_same_base(x, y)
-    k = x.base
-    if k < 2:
-        raise ValueError("lattice multiplication needs a base >= 2")
-    if generators is None:
-        gens = ()
-    else:
-        gens = tuple(sorted(set(map(operator.index, generators)), reverse=True))
-        if not gens:
-            raise ValueError("generator set must not be empty")
-    for g in gens:
-        if not 1 <= g <= k:
-            raise ValueError(f"generator {_echo_int(g)} out of range [1, {_echo_int(k)}]")
-    if x.is_zero or y.is_zero:
-        result = LexNumeral.zero(k)
-        if trace:
-            return result, LatticeTrace((), (), ZeroNumeral.zero(k))
-        return result
-    unmade = None  # every digit is made: no generators, or 1 among them
-    if gens and gens[-1] != 1:
-        # a cell fails when both its digits do: the first unmade digits of x and y
-        unmade = _unmade_test(k, gens)
-        yd = next(filter(unmade, y.digits), None)
-        if yd is not None:
-            xd = next(filter(unmade, x.digits), None)
-            if xd is not None:
-                raise ValueError(f"cell {xd} x {yd}: neither digit decomposes into generators {sorted(gens)}")
     if not trace:
+        _lattice_rule(x, y, generators)
         return multiply(x, y)
-    m, n = len(x.digits), len(y.digits)
-    splits = _Splits(gens) if gens else None
-    columns = [[] for _ in range(m + n)]
-    steps = []
-    for i, xd in enumerate(x.digits):
-        for j, yd in enumerate(y.digits):
-            c = (m - 1 - i) + (n - 1 - j)
-            for a, b, p in _cell_products(xd, yd, gens, splits, unmade):
-                columns[c].append(p % k)
-                columns[c + 1].append(p // k)
-                steps.append(
-                    f"cell ({i + 1},{j + 1}): {a}*{b} = {p}, "
-                    f"digit {p % k} in column {c + 1}, carry {p // k} to column {c + 2}"
-                )
-    digits = []
-    carry = 0
-    for c, col in enumerate(columns):
-        total = sum(col) + carry
-        previous = carry
-        carry, d = divmod(total, k)
-        digits.append(d)
-        shown = "+".join(str(e) for e in col) if col else "0"
-        steps.append(
-            f"column {c + 1}: {shown} + carry {previous} = {total}"
-            f" -> digit {d}, carry {carry}"
-        )
-    while carry:
-        carry, d = divmod(carry, k)
-        digits.append(d)
-    while len(digits) > 1 and digits[-1] == 0:
-        digits.pop()
-    zero_msf = digits[::-1]
-    result = LexNumeral(k, _backend.zero_to_lex_digits(zero_msf, k))
-    full_trace = LatticeTrace(
-        tuple(tuple(col) for col in reversed(columns)),
-        tuple(steps),
-        ZeroNumeral(k, zero_msf),
-    )
-    return result, full_trace
+    columns = []
+    steps = tuple(lattice_steps(x, y, generators, columns))
+    product = multiply(x, y)
+    intermediate = ZeroNumeral(x.base, _backend.lex_to_zero_digits(product.digits, x.base))
+    return product, LatticeTrace(tuple(map(tuple, reversed(columns))), steps, intermediate)

@@ -119,9 +119,9 @@ def _cmd_mul(args):
     x = core.parse_lex(args.x, base, alpha)
     y = core.parse_lex(args.y, base, alpha)
     if args.trace:
-        product, trace = arithmetic.lattice_multiply(x, y, args.generators, trace=True)
-        yield from map("{}\n".format, trace.steps)
-        yield f"with-zero: {core.format_zero(trace.intermediate)}\n"
+        yield from map("{}\n".format, arithmetic.lattice_steps(x, y, args.generators))
+        product = arithmetic.multiply(x, y)
+        yield f"with-zero: {core.format_zero(conversion.theta_lex_to_zero(product))}\n"
     elif args.generators is not None:
         product = arithmetic.lattice_multiply(x, y, args.generators)
     else:

@@ -23,10 +23,10 @@ def omega_zero(z: ZeroNumeral) -> int:
 
 def delta(k: int, n: int) -> ZeroNumeral:
     """Canonical with-zero numeral of a value n >= 0."""
-    if n < 0:
-        raise ValueError(f"value must be >= 0, got {_echo_int(n)}")
     if k < 2:
         raise ValueError(f"with-zero base must be >= 2, got {_echo_int(operator.index(k))}")
+    if n < 0:
+        raise ValueError(f"value must be >= 0, got {_echo_int(n)}")
     return ZeroNumeral(k, (n,) if n < k else radix.digits(n, k, 0))
 
 

@@ -311,7 +311,7 @@ def minlex(k: int, h: int) -> int:
     """Smallest rank with representation length h: sum of k^0..k^(h-1)."""
     if k < 1:
         raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
-    if h < 0:
+    if operator.index(h) < 0:
         raise ValueError(f"length must be >= 0, got {_echo_int(h)}")
     if k == 1:
         return h
@@ -333,7 +333,7 @@ def lex_length(k: int, n: int) -> int:
     """
     if k < 1:
         raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError("zero is the empty string; it has no length")
     if k == 1:
         return n

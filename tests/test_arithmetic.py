@@ -426,18 +426,13 @@ class TestLatticeMultiply:
                 assert lattice_multiply(a, b, generators=gens) == expected
 
     def test_traced_lattice_answers_no_sum_before_the_table(self, monkeypatch):
-        tables = []
-
-        class Recorded(arithmetic._Splits):
-            def __init__(self, *args):
-                super().__init__(*args)
-                tables.append(self)
-
-        monkeypatch.setattr(arithmetic, "_Splits", Recorded)
+        splits = []
+        split = arithmetic._split
+        monkeypatch.setattr(arithmetic, "_split", lambda *args: splits.append(args) or split(*args))
         k = 10**6
         cases = [
-            # no sum of 6 and k makes k - 3 (it is 1 modulo 6): the split table
-            # used to be filled up to it, a million entries, before saying so
+            # no sum of 6 and k makes k - 3 (it is 1 modulo 6): that is said
+            # before any cell split is searched
             (LexNumeral(k, (k - 3,)), LexNumeral(k, (k - 3,)), {6, k}, f"{k - 3} x {k - 3}"),
             # the cell 4 x 3, which splits 4 into 2 + 2, comes before the failing cell 3 x 3
             (dx("43"), dx("3"), {2}, "3 x 3"),
@@ -449,7 +444,7 @@ class TestLatticeMultiply:
                 lattice_multiply(a, b, gens, trace=True)
             message = f"cell {cell}: neither digit decomposes into generators {sorted(gens)}"
             assert str(traced.value) == str(untraced.value) == message
-            assert tables == []
+            assert splits == []
 
     def test_long_generator_is_echoed_cut(self):
         with pytest.raises(ValueError) as exc:
@@ -470,6 +465,42 @@ class TestLatticeMultiply:
         assert omega(result) == omega(a) * omega(b)
         cells = [s.split(" = ")[0] for s in trace.steps if s.startswith("cell")]
         assert cells == [f"cell (1,1): {x}*{g}" for g in parts]
+
+
+def _fewest_parts(k, gens):
+    """Coin change over 0..k: per value, the fewest gens that sum to it, largest first (None if no sum does)."""
+    best = [()] + [None] * k
+    for v in range(1, k + 1):
+        for g in sorted(gens, reverse=True):  # a smaller generator wins only on strictly fewer parts
+            if g <= v and best[v - g] is not None and (best[v] is None or len(best[v - g]) + 1 < len(best[v])):
+                best[v] = (g, *best[v - g])
+    return best
+
+
+def test_split_agrees_with_coin_change():
+    # every generator set in base 10, and 300 seeded sets in each of four
+    # larger bases: 139,830 digits, the ones that no sum makes among them
+    cases = [(10, gens) for size in range(1, 11) for gens in itertools.combinations(range(1, 11), size)]
+    for k in (16, 60, 100, 256):
+        rng = random.Random(k)
+        cases += [(k, rng.sample(range(1, k + 1), rng.randint(1, 6))) for _ in range(300)]
+    for k, gens in cases:
+        gens = tuple(sorted(gens, reverse=True))
+        for d, parts in enumerate(_fewest_parts(k, gens)[1:], 1):
+            runs = parts and [(g, len(list(same))) for g, same in itertools.groupby(parts)]
+            assert arithmetic._split(d, gens) == runs, (k, gens, d)
+
+
+def test_split_of_a_large_digit_takes_few_steps(monkeypatch):
+    # a table up to the digit would hold 10**8 entries or more; each search takes at most 8 steps.
+    # 62 = 7a + 5b + 3c in 9 parts would need 4a + 2b = 35, so 10 parts, the most 7s first
+    monkeypatch.setattr(arithmetic, "_SPLIT_STEPS", 8)
+    assert arithmetic._split(200_000_001, (100_000_001, 100_000_000)) == [(100_000_001, 1), (100_000_000, 1)]
+    assert arithmetic._split(10**9 - 1, (999_999_937, 7, 5, 3)) == [(999_999_937, 1), (7, 8), (3, 2)]
+    monkeypatch.setattr(arithmetic, "_SPLIT_STEPS", 7)
+    with pytest.raises(ValueError) as info:
+        arithmetic._split(10**9 - 1, (999_999_937, 7, 5, 3))
+    assert str(info.value) == "digit 999999999: no split into generators [3, 5, 7, 999999937] in 7 steps"
 
 
 class TestLatticeTrace:
@@ -505,6 +536,18 @@ class TestLatticeTrace:
     def test_trace_off_returns_bare_result(self):
         x = dx("42")
         assert isinstance(lattice_multiply(x, x), LexNumeral)
+
+    @given(numeral_pair(min_base=2, max_len=5), st.data())
+    def test_column_sums_give_the_product(self, pair, data):
+        # the product is taken by rank; the lattice's own column digits and last carry must make it too
+        a, b = pair
+        gens = data.draw(st.one_of(st.none(), st.sets(st.integers(1, a.base), max_size=4).map(lambda s: s | {1})))
+        _, trace = lattice_multiply(a, b, generators=gens, trace=True)
+        sums = [s for s in trace.steps if s.startswith("column")]
+        assert len(sums) == len(trace.columns)
+        digits = [int(s.split(" -> digit ")[1].split(",")[0]) for s in sums]
+        carry = int(sums[-1].rsplit(" ", 1)[1]) if sums else 0
+        assert radix.number([carry, *reversed(digits)], a.base, 0) == omega(a) * omega(b)
 
     @given(numeral_pair(min_base=2, max_len=5))
     def test_intermediate_preserves_value(self, pair):

@@ -38,8 +38,8 @@ def test_scale_script_writes_its_json(tmp_path):
     assert set(tables["ms_per_table"]) == {"multiplication_human", "multiplication_machine", "multiplication_build"}
     assert all(ms > 0 for ms in tables["ms_per_table"].values())
     traces = result["traces"]
-    assert (traces["base"], traces["digits"], traces["runs"]) == (10, [100, 300], 1)
-    names = {"mul_trace_100", "mul_trace_300"}
+    assert (traces["base"], traces["digits"], traces["runs"]) == (10, [100, 300, 1000], 1)
+    names = {"mul_trace_100", "mul_trace_300", "mul_trace_1000"}
     assert set(traces["ms_per_run"]) == set(traces["peak_rss_mb"]) == names
     assert all(value > 0 for value in [*traces["ms_per_run"].values(), *traces["peak_rss_mb"].values()])
     starts = result["cli_starts"]

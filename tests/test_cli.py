@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zeroless
-from zeroless import cli, core, tables
+from zeroless import arithmetic, cli, core, tables
 from zeroless.cli import main
 
 
@@ -267,6 +267,38 @@ class TestTable:
                     proc.kill()
                     _, err = proc.communicate(timeout=30)
             assert err == b""
+
+
+class TestTraceSplits:
+    def test_split_past_the_step_bound_is_refused_before_any_line(self, capsys, monkeypatch):
+        # 2 = 1 + 1 over generators 4, 3 and 1 takes 6 steps of the search
+        argv = ("mul", "--trace", "--generators", "1,3,4", "62", "2")
+        monkeypatch.setattr(arithmetic, "_SPLIT_STEPS", 5)
+        assert run(capsys, *argv) == (1, "", "error: digit 2: no split into generators [1, 3, 4] in 5 steps\n")
+        monkeypatch.setattr(arithmetic, "_SPLIT_STEPS", 6)
+        code, out, err = run(capsys, *argv)
+        assert (code, out.splitlines()[-1], err) == (0, "124", "")
+
+    def test_split_of_a_large_digit_runs_in_bounded_memory(self):
+        """A base-4*10**8 trace of 4 lines runs within 256 MB of address space: its split is searched,
+        where a table up to the digit ran out of memory at 1 GB. The child limits itself."""
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+            "from zeroless import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+        gens = "100000000,100000001"
+        argv = [sys.executable, "-c", code, "mul", "--trace", "-b", "400000000", "--generators", gens, *["[200000001]"] * 2]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 6
+        assert lines[0] == (
+            "cell (1,1): 200000001*100000001 = 20000000300000001, digit 300000001 in column 1, carry 50000000 to column 2"
+        )
+        assert lines[-2:] == ["with-zero: [100000001][1]", "[100000001][1]"]
 
 
 class TestEnumerate:

@@ -196,9 +196,15 @@ class TestDigitCheck:
             lambda: maxlex(0.5, 1),
             lambda: lex_length(0.5, 1),
             lambda: delta(1.5, 1),
+            # a length or rank that is no int is refused the same way, and a base before a value
+            lambda: minlex(2, 0.5),
+            lambda: maxlex(10, 2.5),
+            lambda: lex_length(10, 2.5),
+            lambda: delta(0.5, -1),
         ],
         ids=["lex-300", "lex-4", "lex-4-empty", "zero-4", "zero-300", "zero-4-empty", "sigma-4", "lex-0.5",
-             "zero-1.5", "sigma-0.5", "sigma_oracle-0.5", "minlex-0.5", "maxlex-0.5", "lex_length-0.5", "delta-1.5"],
+             "zero-1.5", "sigma-0.5", "sigma_oracle-0.5", "minlex-0.5", "maxlex-0.5", "lex_length-0.5", "delta-1.5",
+             "minlex-length-0.5", "maxlex-length-2.5", "lex_length-rank-2.5", "delta-0.5-value-1"],
     )
     def test_a_base_that_is_no_int_is_refused(self, make):
         # whatever is cached: base 4's digit tests are made first, and an
