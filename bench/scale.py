@@ -1,4 +1,4 @@
-"""Small-operand, FASTA-read, table, CLI start and trace latency of the zeroless library.
+"""Small-operand, FASTA-read, long-product, table, CLI start and trace latency of the zeroless library.
 
     python3 bench/scale.py [--calls N] [--repeat R] [--out DIR]
 
@@ -22,6 +22,12 @@ over 20,000 is the µs per read.
 The long-numeral section times ``omega`` and ``sigma`` of one seeded
 base-4 numeral of 10**4 digits and one of 10**5, taking turns with the
 other kinds; the fastest of R passes is the ms per call.
+
+The products section times ``multiply`` of two seeded numerals of
+10**3, 10**4 and 10**5 digits each in bases 4 and 10, and of 10**3 and
+10**4 digits in base 60, taking turns with the other kinds; the fastest
+of R calls is the ms per product, and each base gets the least-squares
+slope of log(ms) on log(digits).
 
 The tables section runs ``zeroless table mul -b 300``, human grid and
 ``--machine`` rows, through ``cli.main`` in process with stdout on the
@@ -64,6 +70,7 @@ import contextlib
 import datetime
 import hashlib
 import json
+import math
 import os
 import platform
 import random
@@ -82,6 +89,7 @@ SEED = 4101
 READS, READ_BASES, LINE_WIDTH = 20000, 150, 80
 TABLE_BASE = 300
 LONG_BASE, LONG_DIGITS = 4, (10**4, 10**5)
+PRODUCT_DIGITS = {4: (10**3, 10**4, 10**5), 10: (10**3, 10**4, 10**5), 60: (10**3, 10**4)}
 TABLES = {"multiplication_human": ("mul",), "multiplication_machine": ("mul", "--machine")}
 CLI_STARTS = {"encode_1": ("encode", "1"), "unrank_123456789": ("unrank", "123456789")}
 # phases of a CLI start, as interpreter arguments: site alone, then the package imported too
@@ -178,6 +186,13 @@ def _read_and_rank(zl, path):
         rank(record.sequence)
 
 
+def _slope(points):
+    """Least-squares slope of log(y) on log(x) over (x, y) points."""
+    xs, ys = zip(*((math.log(x), math.log(y)) for x, y in points))
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
 def _table(zl, argv, sink):
     zl.build_multiplication_table.cache_clear()  # what a CLI run of its own starts from
     with contextlib.redirect_stdout(sink):
@@ -258,6 +273,10 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
         a = zl.LexNumeral(LONG_BASE, [rng.randint(1, LONG_BASE) for _ in range(h)])
         work[f"omega_{h}", "long"] = (zl.omega, [(a,)], 1)
         work[f"sigma_{h}", "long"] = (zl.sigma, [(LONG_BASE, zl.omega(a))], 1)
+    for k, lengths in PRODUCT_DIGITS.items():
+        for h in lengths:
+            a, b = (zl.LexNumeral(k, [rng.randint(1, k) for _ in range(h)]) for _ in "ab")
+            work[h, f"product{k}"] = (zl.multiply, [(a, b)], 1)
     big = int("7" * 100_000)
     work["python_loop", None] = (_python_loop, [()], 1)
     work["str_1e5_digits", None] = (str, [(big,)], 1)
@@ -282,6 +301,9 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
     start_ms = _starts(repeat)
     trace_ms, trace_rss = _traces(repeat)
     compile_ms = {name: seconds * 1e3 for (name, k), seconds in best.items() if k == "compile"}
+    product_ms = {
+        str(k): {str(h): best[h, f"product{k}"] * 1e3 for h in lengths} for k, lengths in PRODUCT_DIGITS.items()
+    }
     per_call = {str(k): {} for k in BASES}
     for (name, k), seconds in best.items():
         if k in BASES:
@@ -317,6 +339,11 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
             "base": LONG_BASE,
             "digits": list(LONG_DIGITS),
             "ms_per_call": {name: round(seconds * 1e3, 3) for (name, k), seconds in best.items() if k == "long"},
+        },
+        "products": {
+            "digits": {str(k): list(lengths) for k, lengths in PRODUCT_DIGITS.items()},
+            "ms_per_call": {k: {h: round(ms, 4) for h, ms in by_h.items()} for k, by_h in product_ms.items()},
+            "slope": {k: round(_slope((int(h), ms) for h, ms in by_h.items()), 3) for k, by_h in product_ms.items()},
         },
         "tables": {
             "base": TABLE_BASE,

@@ -3,8 +3,10 @@
 Addition, single-digit scaling and the shift by the base work digit-wise
 on the zeroless strings themselves. Full multiplication goes through
 ranks: the product is sigma(k, omega(a) * omega(b)), one bignum
-multiplication between two radix conversions. The digit-string
-schoolbook stays in ``_backend.multiply_digits`` as the reference.
+multiplication between two radix conversions. A long base-10 product
+skips the binary ints: ``radix.decimal_product`` multiplies the ranks
+as decimal text in the C decimal module. The digit-string schoolbook
+stays in ``_backend.multiply_digits`` as the reference.
 The lattice is kept for its trace: ``lattice_steps`` streams the cells'
 products into with-zero columns and sums them with ordinary carries.
 Cells may be restricted to a set of generator digits; a cell with
@@ -15,10 +17,11 @@ first, and the product itself is taken by rank.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
-from zeroless import _backend
+from zeroless import _backend, radix
 from zeroless.core import (
     _SET_BASES, LexNumeral, ZeroNumeral, _check_same_base, _echo_int, _Frozen, _set, omega, sigma,
 )
@@ -45,9 +48,19 @@ def multiply_by_base(a: LexNumeral) -> LexNumeral:
 
 
 def multiply(a: LexNumeral, b: LexNumeral) -> LexNumeral:
-    """Product of two zeroless numerals: the numeral of rank omega(a) * omega(b)."""
+    """Product of two zeroless numerals: the numeral of rank omega(a) * omega(b).
+
+    In base 10, factors of radix.PRODUCT10_DIGITS digits or more together
+    are multiplied as decimal text by ``radix.decimal_product``; every
+    other product is sigma of the int product of the ranks.
+    """
     _check_same_base(a, b)
-    return sigma(a.base, omega(a) * omega(b))
+    k, x, y = a.base, a.digits, b.digits
+    if k == 10 and x and y and len(x) + len(y) >= radix.PRODUCT10_DIGITS:
+        digits = radix.decimal_product(x, y)
+        if digits is not None:
+            return LexNumeral(10, digits)
+    return sigma(k, omega(a) * omega(b))
 
 
 class LatticeTrace(_Frozen):
@@ -74,11 +87,11 @@ _UNSET = bytes.maketrans(b"01", b"\1\0")  # bit string: 1 at each unset bit
 def _unmade_test(k: int, gens: tuple):
     """Test for the digits of base k that no sum of gens (largest first) makes.
 
-    Up to base 256 the sums are the bits of one int. Above, no sum makes
-    a digit d < least[d % g], the least sum in its class modulo the
-    smallest generator g (Nijenhuis 1979): work bounded by g.
+    Up to base 256 the sums are the bits of one int. Above, ``_split``
+    answers each distinct digit once, with work bounded by its steps, not
+    by the digit or the generators' size; a digit it cannot settle in
+    _SPLIT_STEPS steps is refused as the trace refuses it.
     """
-    g = gens[-1]
     if k <= _SET_BASES:
         made = 1
         for h in gens:
@@ -86,17 +99,7 @@ def _unmade_test(k: int, gens: tuple):
                 made |= made << h
                 h <<= 1
         return format(made & ((2 << k) - 1) | 2 << k, "b")[:0:-1].encode().translate(_UNSET).__getitem__
-    import heapq
-
-    least = {}  # class modulo g: least sum of generators in it, up to k
-    heap = [0]
-    while heap and heap[0] <= k:
-        s = heapq.heappop(heap)
-        if s % g not in least:
-            least[s % g] = s
-            for h in gens:
-                heapq.heappush(heap, s + h)
-    return lambda d: d < least.get(d % g, d + 1)
+    return functools.cache(lambda d: _split(d, gens) is None)
 
 
 _SPLIT_STEPS = 1 << 16  # branches one cell split may try before the trace is refused

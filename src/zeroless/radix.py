@@ -10,6 +10,13 @@ digit widened to two base-4 digits, and ``readable`` says where
 ``int(text, k)`` reads it back. Base 4 is linear; base 10 is quadratic
 before Python 3.12, but beats the loops below to about 10**4 digits.
 
+``decimal_product`` multiplies two base-10 numerals with no int at all:
+each rank is its offset text, read by the C ``decimal`` module (libmpdec),
+plus a repunit, the product is exact, and its offset from the repunit
+below it is written back as text. libmpdec reads and writes decimal text
+in linear time and multiplies long coefficients by Karatsuba and
+number-theoretic transforms, so no step is quadratic on any interpreter.
+
 Elsewhere, following Brent & Zimmermann, *Modern Computer Arithmetic*,
 §1.7, blocks of ``CUTOFF`` digits go through the plain digit loop, and
 blocks are joined (``value``, in every base) or cut (``split``) with
@@ -23,6 +30,7 @@ constant than one bignum divmod per digit.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -36,6 +44,10 @@ PEEL10_BITS, PEEL_BITS = 16, 256
 #: Digits up to which ``number`` runs the Horner loop; it crosses the
 #: int() route at 14-16 digits in base 10 on CPython 3.10-3.13.
 HORNER_DIGITS = 15
+#: Digits of both factors together from which a base-10 product takes
+#: ``decimal_product``; it crosses the int route at 350-420 digits on
+#: CPython 3.11-3.13.
+PRODUCT10_DIGITS = 450
 
 # CPython's default int/str limit (none before 3.10.7)
 _STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
@@ -127,6 +139,47 @@ def digits(n, k, low):
         return out.translate(_FROM_ASCII[low])
     out = split(n, k, h)
     return [d + 1 for d in out] if low else out
+
+
+@functools.cache
+def _exact_decimal():
+    """(Decimal, exact context) of the C decimal module, imported on the
+    first call; None where the module is missing."""
+    try:
+        import _decimal
+    except ImportError:  # a build without it: the int route serves
+        return None
+    ctx = _decimal.Context(prec=_decimal.MAX_PREC, Emax=_decimal.MAX_EMAX, Emin=_decimal.MIN_EMIN)
+    ctx.traps[_decimal.Inexact] = True
+    return _decimal.Decimal, ctx
+
+
+def decimal_product(a, b):
+    """The zeroless base-10 digits, as bytes, of the product of the ranks
+    of the nonempty zeroless base-10 digits a and b; None where the C
+    decimal module is missing.
+
+    The rank of h digits is their offset text plus minlex(10, h), the
+    repunit (10**h - 1) // 9. A product p of D decimal digits is a numeral
+    of D digits, or of D - 1 when p is below minlex(10, D), and its digits
+    are the offset from that repunit.
+    """
+    exact = _exact_decimal()
+    if exact is None:
+        return None
+    dec, ctx = exact
+
+    def repunit(h):
+        return ctx.divide_int(ctx.subtract(ctx.scaleb(1, h), 1), 9)
+
+    x, y = (ctx.add(dec(bytes(f).translate(_TO_ASCII[1]).decode()), repunit(len(f))) for f in (a, b))
+    p = ctx.multiply(x, y)
+    h = p.adjusted() + 1
+    floor = repunit(h)
+    if p < floor:
+        h -= 1
+        floor = ctx.divide_int(floor, 10)
+    return str(ctx.subtract(p, floor)).zfill(h).encode().translate(_FROM_ASCII[1])
 
 
 def value(digits, k):

@@ -411,7 +411,7 @@ class TestLatticeMultiply:
 
     @pytest.mark.parametrize("k", [256, 257, 1000])
     def test_traced_and_untraced_agree_in_large_bases(self, k):
-        # base 256 is the last with the bit test; above it the least sum per class decides
+        # base 256 is the last with the bit test; above it each digit's split search decides
         rng = random.Random(k)
         for _ in range(300):
             gens = rng.sample(range(2, k + 1), rng.randint(1, 3)) + rng.sample(range(2, 12), rng.randint(0, 2))
@@ -426,13 +426,14 @@ class TestLatticeMultiply:
                 assert lattice_multiply(a, b, generators=gens) == expected
 
     def test_traced_lattice_answers_no_sum_before_the_table(self, monkeypatch):
-        splits = []
+        found = []  # what each split search returned
         split = arithmetic._split
-        monkeypatch.setattr(arithmetic, "_split", lambda *args: splits.append(args) or split(*args))
+        monkeypatch.setattr(arithmetic, "_split", lambda *args: found.append(split(*args)) or found[-1])
         k = 10**6
         cases = [
             # no sum of 6 and k makes k - 3 (it is 1 modulo 6): that is said
-            # before any cell split is searched
+            # before any cell split is searched; above base 256 the check
+            # itself is a search, which finds no sum
             (LexNumeral(k, (k - 3,)), LexNumeral(k, (k - 3,)), {6, k}, f"{k - 3} x {k - 3}"),
             # the cell 4 x 3, which splits 4 into 2 + 2, comes before the failing cell 3 x 3
             (dx("43"), dx("3"), {2}, "3 x 3"),
@@ -444,7 +445,7 @@ class TestLatticeMultiply:
                 lattice_multiply(a, b, gens, trace=True)
             message = f"cell {cell}: neither digit decomposes into generators {sorted(gens)}"
             assert str(traced.value) == str(untraced.value) == message
-            assert splits == []
+        assert found == [None, None]  # k - 3 checked once per run; base 10 checks by bits, not searches
 
     def test_long_generator_is_echoed_cut(self):
         with pytest.raises(ValueError) as exc:
@@ -478,17 +479,20 @@ def _fewest_parts(k, gens):
 
 
 def test_split_agrees_with_coin_change():
-    # every generator set in base 10, and 300 seeded sets in each of four
-    # larger bases: 139,830 digits, the ones that no sum makes among them
+    # every generator set in base 10, 300 seeded sets in each of four
+    # larger bases and 40 in each of two above 256, where the unmade test
+    # is a split search: 190,110 digits, the ones that no sum makes among them
     cases = [(10, gens) for size in range(1, 11) for gens in itertools.combinations(range(1, 11), size)]
-    for k in (16, 60, 100, 256):
+    for k, count in ((16, 300), (60, 300), (100, 300), (256, 300), (257, 40), (1000, 40)):
         rng = random.Random(k)
-        cases += [(k, rng.sample(range(1, k + 1), rng.randint(1, 6))) for _ in range(300)]
+        cases += [(k, rng.sample(range(1, k + 1), rng.randint(1, 6))) for _ in range(count)]
     for k, gens in cases:
         gens = tuple(sorted(gens, reverse=True))
+        unmade = arithmetic._unmade_test(k, gens)
         for d, parts in enumerate(_fewest_parts(k, gens)[1:], 1):
             runs = parts and [(g, len(list(same))) for g, same in itertools.groupby(parts)]
             assert arithmetic._split(d, gens) == runs, (k, gens, d)
+            assert bool(unmade(d)) == (parts is None), (k, gens, d)
 
 
 def test_split_of_a_large_digit_takes_few_steps(monkeypatch):

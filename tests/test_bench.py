@@ -33,6 +33,12 @@ def test_scale_script_writes_its_json(tmp_path):
     assert (long_numerals["base"], long_numerals["digits"]) == (4, [10**4, 10**5])
     assert set(long_numerals["ms_per_call"]) == {"omega_10000", "sigma_10000", "omega_100000", "sigma_100000"}
     assert all(ms > 0 for ms in long_numerals["ms_per_call"].values())
+    products = result["products"]
+    digits = {"4": [1000, 10000, 100000], "10": [1000, 10000, 100000], "60": [1000, 10000]}
+    assert products["digits"] == digits
+    assert {k: list(map(int, by_h)) for k, by_h in products["ms_per_call"].items()} == digits
+    assert all(ms > 0 for by_h in products["ms_per_call"].values() for ms in by_h.values())
+    assert set(products["slope"]) == set(digits) and all(slope > 0 for slope in products["slope"].values())
     tables = result["tables"]
     assert tables["base"] == 300
     assert set(tables["ms_per_table"]) == {"multiplication_human", "multiplication_machine", "multiplication_build"}

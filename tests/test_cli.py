@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zeroless
-from zeroless import arithmetic, cli, core, tables
+from zeroless import arithmetic, cli, core, radix, tables
 from zeroless.cli import main
 
 
@@ -279,6 +280,17 @@ class TestTraceSplits:
         code, out, err = run(capsys, *argv)
         assert (code, out.splitlines()[-1], err) == (0, "124", "")
 
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+    def test_unsettled_check_above_base_256_is_refused_as_the_trace_is(self, capsys, monkeypatch, trace):
+        # above base 256 the check of 999 is its split search, 999 = 700 + 5*59 + 4, which takes 6 steps
+        argv = ("mul", "-b", "1000", *trace, "--generators", "3,4,5,700", "[62]", "[999]")
+        monkeypatch.setattr(arithmetic, "_SPLIT_STEPS", 5)
+        message = "error: digit 999: no split into generators [3, 4, 5, 700] in 5 steps\n"
+        assert run(capsys, *argv) == (1, "", message)
+        monkeypatch.setattr(arithmetic, "_SPLIT_STEPS", 6)
+        code, out, err = run(capsys, *argv)
+        assert (code, out.splitlines()[-1], err) == (0, "[61][938]", "")
+
     def test_split_of_a_large_digit_runs_in_bounded_memory(self):
         """A base-4*10**8 trace of 4 lines runs within 256 MB of address space: its split is searched,
         where a table up to the digit ran out of memory at 1 GB. The child limits itself."""
@@ -299,6 +311,22 @@ class TestTraceSplits:
             "cell (1,1): 200000001*100000001 = 20000000300000001, digit 300000001 in column 1, carry 50000000 to column 2"
         )
         assert lines[-2:] == ["with-zero: [100000001][1]", "[100000001][1]"]
+
+    def test_generator_check_above_base_256_runs_in_bounded_memory(self):
+        """Without a trace too, a digit above base 256 is checked by its split search, not by a table of
+        one entry per class modulo the smallest generator (481 MB at 4*10**6). The child limits itself."""
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+            "from zeroless import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+        argv = [sys.executable, "-c", code, "mul", "-b", "10000000000000000", "--generators", "4000000,4000001",
+                "[5]", "[7]"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        message = "error: cell 5 x 7: neither digit decomposes into generators [4000000, 4000001]\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
 
 class TestEnumerate:
@@ -903,6 +931,40 @@ def test_match_answers_every_benchmark_shape(argv):
 )
 def test_match_leaves_the_rest_to_argparse(argv):
     assert cli._match(argv) is None
+
+
+def test_short_products_leave_out_decimal():
+    """The C decimal module comes with the first long base-10 product, not with a short one."""
+    long = "X" * radix.PRODUCT10_DIGITS
+    code = (
+        "import sys; from zeroless import cli; before = set(sys.modules); "
+        "cli.main(['mul', '123', '45']); short = set(sys.modules) - before; "
+        f"cli.main(['mul', '{long}', '7']); "
+        "print(sorted({'decimal', '_decimal'} & short), sorted({'decimal', '_decimal'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] ['_decimal']"
+
+
+def test_long_products_without_decimal_match(capsys):
+    """Where the C decimal module is missing, long base-10 products take the int route, to the same bytes."""
+    rng = random.Random(30)
+    argvs = [["mul", *("".join(rng.choices("123456789X", k=h)) for h in lengths)]
+             for lengths in ((1, radix.PRODUCT10_DIGITS), (300, 300), (2000, 1999), (5000, 5000))]
+    code = (
+        "import json, sys; sys.modules['_decimal'] = None; from zeroless import cli, radix; "
+        "[cli.main(argv) for argv in json.loads(sys.stdin.read())]; "
+        "print(radix._exact_decimal() is None)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(argvs), capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for argv in argvs:
+        assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out + "True\n"
 
 
 def test_plain_runs_leave_out_argparse():

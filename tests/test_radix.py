@@ -2,19 +2,20 @@
 
 ``TestRouteEdges`` builds its cases from radix's own thresholds
 (``HORNER_DIGITS``, ``CUTOFF`` and its doubling, ``PEEL10_BITS``,
-``PEEL_BITS``) and CPython's int/str limits, and runs each through
-``check_routes``: ranks either side of every edge, in 11 bases, under
-the lowest limit, the default one and none. The other classes test the
-block loops and length searches on their own. References are the
-left-to-right Horner loop, ``plain_digits`` and ``sigma_oracle`` (last
-digit peeled per step), none of which goes through ``radix``.
+``PEEL_BITS``, ``PRODUCT10_DIGITS``) and CPython's int/str limits, and
+runs each through ``check_routes``: ranks either side of every edge, in
+11 bases, under the lowest limit, the default one and none.
+``TestDecimalProduct`` checks long base-10 products; the other classes
+test the block loops and length searches on their own. References are
+the left-to-right Horner loop, ``plain_digits`` and ``sigma_oracle``
+(last digit peeled per step), none of which goes through ``radix``.
 """
 
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zeroless import (
@@ -24,6 +25,7 @@ from zeroless import (
     maxlex,
     minlex,
     multiply,
+    multiply_by_base,
     omega,
     omega_zero,
     radix,
@@ -34,7 +36,7 @@ from zeroless import (
     unrank_sequence,
 )
 from zeroless.core import sigma_oracle
-from zeroless.radix import PEEL10_BITS, PEEL_BITS
+from zeroless.radix import PEEL10_BITS, PEEL_BITS, PRODUCT10_DIGITS
 
 C = radix.CUTOFF
 LENGTHS = (C - 1, C, C + 1, 2 * C, 2 * C + 1, 1000, 5000)
@@ -69,10 +71,11 @@ def plain_digits(x, k):
 LIMITS = (sys.int_info.str_digits_check_threshold, sys.int_info.default_max_str_digits, 0)
 
 
-def check_routes(k, n, int_limit, square=False):
+def check_routes(k, n, int_limit, square=False, partners=()):
     """Rank n in base k >= 2 through every radix route under each limit, against the oracles.
 
-    With square, also the product of its numeral with itself.
+    With square, also the product of its numeral with itself, and the
+    products with the numerals of the partner ranks.
     """
     lex, zero = sigma_oracle(k, n), plain_digits(n, k) or [0]
     h = len(lex)
@@ -93,6 +96,8 @@ def check_routes(k, n, int_limit, square=False):
             assert rank_sequence(seq) == n
         if square:
             assert omega(multiply(a, a)) == n * n
+        for m in partners:
+            assert multiply(a, sigma(k, m)) == sigma_oracle(k, n * m), (n, m, limit)
 
 
 class TestValueSplit:
@@ -230,6 +235,57 @@ class TestBase4Route:
                 check_routes(4, n, int_limit)
 
 
+class TestDecimalProduct:
+    """Base-10 products through radix.decimal_product against the int route and a plain-int oracle.
+
+    The oracle ranks each factor by the Horner loop and unranks the int
+    product by ``sigma_oracle``, so neither touches ``radix``; the int
+    route is ``sigma(10, omega(a) * omega(b))``.
+    """
+
+    @staticmethod
+    def check(a, b, int_limit):
+        expected = sigma_oracle(10, horner(a.digits, 10) * horner(b.digits, 10))
+        for limit in LIMITS:
+            int_limit(limit)
+            assert multiply(a, b) == multiply(b, a) == sigma(10, omega(a) * omega(b)) == expected, limit
+
+    @given(m=st.integers(1, 3000), n=st.integers(1, 3000), rnd=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_factors(self, m, n, rnd, int_limit):
+        a, b = (LexNumeral(10, rnd.choices(range(1, 11), k=h)) for h in (m, n))
+        self.check(a, b, int_limit)
+
+    @pytest.mark.parametrize("edge", range(4))
+    @given(h=st.integers(PRODUCT10_DIGITS - 1, 2 * PRODUCT10_DIGITS), data=st.data())
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_products_at_the_length_edges(self, edge, h, data, int_limit):
+        # the product is minlex(10, h) - 1, minlex, + 1 or maxlex, the long
+        # factor its quotient by a short factor that divides it
+        p = (minlex(10, h) - 1, minlex(10, h), minlex(10, h) + 1, maxlex(10, h))[edge]
+        d = data.draw(st.sampled_from([d for d in range(1, 1000) if p % d == 0]))
+        self.check(sigma(10, p // d), sigma(10, d), int_limit)
+
+    def test_products_past_the_default_exponent_limit(self):
+        # a default decimal context overflows past 10**6 digits; a product by X is the shift by the base
+        a = LexNumeral(10, random.Random(6).choices(range(1, 11), k=10**6 + 1))
+        assert multiply(a, LexNumeral(10, (10,))) == multiply_by_base(a)
+
+    def test_an_empty_factor_gives_zero(self, int_limit):
+        a = LexNumeral(10, (10,) * 2 * PRODUCT10_DIGITS)
+        self.check(a, LexNumeral.zero(10), int_limit)
+        assert multiply(a, LexNumeral.zero(10)).digits == ()
+
+    @pytest.mark.parametrize("total", (PRODUCT10_DIGITS - 1, PRODUCT10_DIGITS, PRODUCT10_DIGITS + 1))
+    def test_route_is_taken_from_the_threshold_on(self, total, monkeypatch):
+        calls = []
+        product = radix.decimal_product
+        monkeypatch.setattr(radix, "decimal_product", lambda a, b: calls.append(len(a) + len(b)) or product(a, b))
+        a, b = LexNumeral(10, (7,) * (total // 2)), LexNumeral(10, (3,) * (total - total // 2))
+        assert multiply(a, b) == sigma_oracle(10, omega(a) * omega(b))
+        assert calls == ([total] if total >= PRODUCT10_DIGITS else [])
+
+
 def _route_cases():
     """Per base, the ranks at and either side of each radix cut-over.
 
@@ -237,7 +293,9 @@ def _route_cases():
     the hex widening strips, base 10 every length its tables of lengths
     and repunits serve, and bases with a C text route the two limit
     lengths ±1, where products are checked too; bit sizes sit at each
-    peel edge.
+    peel edge. Base-10 products have factors whose lengths sum to
+    PRODUCT10_DIGITS and either side of it, halved or with a one-digit
+    factor.
     """
     for k in (2, 3, 4, 8, 10, 16, 36, 60, 255, 256, 257):
         edges = [radix.HORNER_DIGITS, radix.CUTOFF, 2 * radix.CUTOFF]
@@ -248,9 +306,17 @@ def _route_cases():
         for h in sorted({e + d for e in (*edges, *limits) for d in pads}):
             lo, hi = minlex(k, h), maxlex(k, h)
             ranks = (lo - 1, lo, lo + 1, random.Random(h).randint(lo, hi), hi - 1, hi, hi + 1)
-            yield pytest.param(k, ranks, any(h - e in pads for e in limits), id=f"{k}-h{h}")
+            yield pytest.param(k, ranks, any(h - e in pads for e in limits), (), id=f"{k}-h{h}")
         ranks = tuple((1 << b) + d for b in (PEEL10_BITS, PEEL_BITS) for d in range(-2, 2))
-        yield pytest.param(k, ranks, False, id=f"{k}-peel")
+        yield pytest.param(k, ranks, False, (), id=f"{k}-peel")
+
+    def spread(h):  # the least, a seeded and the greatest base-10 rank of length h
+        lo, hi = minlex(10, h), maxlex(10, h)
+        return lo, random.Random(h).randint(lo, hi), hi
+
+    for total in (PRODUCT10_DIGITS - 1, PRODUCT10_DIGITS, PRODUCT10_DIGITS + 1):
+        for h in (total // 2, 1):
+            yield pytest.param(10, spread(h), False, spread(total - h), id=f"10-product{h}+{total - h}")
 
 
 class TestRouteEdges:
@@ -261,7 +327,7 @@ class TestRouteEdges:
     constant to the inputs.
     """
 
-    @pytest.mark.parametrize("k, ranks, square", _route_cases())
-    def test_agrees_with_oracles(self, k, ranks, square, int_limit):
+    @pytest.mark.parametrize("k, ranks, square, partners", _route_cases())
+    def test_agrees_with_oracles(self, k, ranks, square, partners, int_limit):
         for n in ranks:
-            check_routes(k, n, int_limit, square)
+            check_routes(k, n, int_limit, square, partners)
