@@ -41,8 +41,9 @@ The CLI start section starts ``python -m zeroless.cli encode 1`` and
 turns with a bare ``python -I -S -c pass`` and with the phases of a
 start: ``python -c pass`` (the interpreter with ``site``) and ``python
 -c "import zeroless.cli"`` (the package imported too), R times each.
-The median wall time of each is its ms per start; each figure but the
-bare one is also given scaled to a 15 ms bare start, as the benchmark's
+The median wall time of each, from its start to its exit as the
+launcher below times it, is its ms per start; each figure but the bare
+one is also given scaled to a 15 ms bare start, as the benchmark's
 ``setup_s`` is, so that files from hosts of different speed can be
 compared. ``compile()`` of each ``src/zeroless`` file, as an import
 without a bytecode cache runs it, takes turns with the op kinds; the
@@ -52,8 +53,11 @@ The trace section starts ``python -m zeroless.cli mul --trace x y`` as
 fresh processes, in the same environment, on two seeded base-10 operands
 of 100 digits each, two of 300 and two of 1000, stdout on the null
 device, taking turns, R times each. The median wall time of each size
-is its ms per run, and the largest peak RSS of its processes, as
-``wait4`` reports it, is its peak RSS.
+is its ms per run, and the largest peak RSS of its processes is its
+peak RSS. Every such process is spawned, timed and waited for by a
+launcher, a few lines run by ``python -I -S -c``: on Linux a process's
+peak RSS starts, at exec, from that of the memory it replaced, here the
+launcher's few MB, not this script's own peak.
 
 The figures, with the machine, the interpreter, the seed and the commit,
 go to DIR/BENCH_<date>_<commit>.json (DIR defaults to this script's
@@ -212,48 +216,34 @@ def _cli_env():
     return env
 
 
-def _starts(repeat):
-    """Median ms of fresh CLI processes, of the phases of a start and of a bare interpreter, started in turns."""
-    env = _cli_env()
-    argvs = {name: [sys.executable, *args] for name, args in PHASE_STARTS.items()}
-    argvs.update({name: [sys.executable, "-m", "zeroless.cli", *args] for name, args in CLI_STARTS.items()})
-    argvs["bare"] = [sys.executable, "-I", "-S", "-c", "pass"]
-    walls = {name: [] for name in argvs}
-    for _ in range(repeat):
-        for name, argv in argvs.items():
-            t0 = perf_counter()
-            proc = subprocess.run(argv, env=env, cwd=ROOT, stdin=subprocess.DEVNULL, capture_output=True)
-            walls[name].append(perf_counter() - t0)
-            if proc.returncode or proc.stderr:
-                raise RuntimeError(f"{' '.join(argv)} failed: {proc.stderr.decode(errors='replace')}")
-    return {name: statistics.median(seconds) * 1e3 for name, seconds in walls.items()}
+# `python -I -S -c _LAUNCHER argv...` prints the child's wall seconds and its own ru_maxrss, and exits with its code
+_LAUNCHER = """import os, sys, time
+null_stdout = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=null_stdout)
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - t0, usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
 
 
-def _traces(repeat):
-    """Median ms and largest peak RSS in MB of fresh ``mul --trace`` processes, the sizes in turns."""
-    rng = random.Random(SEED)
+def _children(argvs, repeat):
+    """Median ms and largest peak RSS in MB of fresh processes of each {name: argv}, started in turns."""
     env = _cli_env()
-    argvs = {}
-    for h in TRACE_DIGITS:
-        x, y = ("".join(rng.choices("123456789X", k=h)) for _ in "xy")
-        argvs[f"mul_trace_{h}"] = [sys.executable, "-m", "zeroless.cli", "mul", "--trace", x, y]
+    rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
     walls = {name: [] for name in argvs}
     peaks = dict.fromkeys(argvs, 0)
-    rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
     for _ in range(repeat):
         for name, argv in argvs.items():
-            t0 = perf_counter()
-            proc = subprocess.Popen(
-                argv, env=env, cwd=ROOT, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+            proc = subprocess.run(
+                [sys.executable, "-I", "-S", "-c", _LAUNCHER, *argv],
+                env=env, cwd=ROOT, stdin=subprocess.DEVNULL, capture_output=True, text=True,
             )
-            with proc.stderr:
-                err = proc.stderr.read()
-            _, status, usage = os.wait4(proc.pid, 0)
-            walls[name].append(perf_counter() - t0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            if proc.returncode or err:
-                raise RuntimeError(f"zeroless {' '.join(argv[3:5])} failed: {err.decode(errors='replace')}")
-            peaks[name] = max(peaks[name], usage.ru_maxrss * rss_unit / 2**20)
+            if proc.returncode or proc.stderr:
+                raise RuntimeError(f"{' '.join(argv)} failed: {proc.stderr}")
+            seconds, rss = proc.stdout.split()
+            walls[name].append(float(seconds))
+            peaks[name] = max(peaks[name], int(rss) * rss_unit / 2**20)
     return {name: statistics.median(seconds) * 1e3 for name, seconds in walls.items()}, peaks
 
 
@@ -298,8 +288,15 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
         for _ in range(repeat):  # the kinds take turns, so a slow spell of the host hits them alike
             for key, (fn, args_list, count) in work.items():
                 best[key] = min(best[key], _time(fn, args_list) / count)
-    start_ms = _starts(repeat)
-    trace_ms, trace_rss = _traces(repeat)
+    command = [sys.executable, "-m", "zeroless.cli"]
+    starts = {name: [sys.executable, *args] for name, args in PHASE_STARTS.items()}
+    starts.update({name: [*command, *args] for name, args in CLI_STARTS.items()})
+    starts["bare"] = [sys.executable, "-I", "-S", "-c", "pass"]
+    start_ms, _ = _children(starts, repeat)
+    rng = random.Random(SEED)
+    traces = {f"mul_trace_{h}": [*command, "mul", "--trace", *("".join(rng.choices("123456789X", k=h)) for _ in "xy")]
+              for h in TRACE_DIGITS}
+    trace_ms, trace_rss = _children(traces, repeat)
     compile_ms = {name: seconds * 1e3 for (name, k), seconds in best.items() if k == "compile"}
     product_ms = {
         str(k): {str(h): best[h, f"product{k}"] * 1e3 for h in lengths} for k, lengths in PRODUCT_DIGITS.items()

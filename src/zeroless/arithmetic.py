@@ -183,7 +183,9 @@ def lattice_steps(x: LexNumeral, y: LexNumeral, generators=None, columns: list |
     or else its left one, into the fewest generators that sum to it,
     largest first, one line per part. Every digit is checked, and every
     split searched, before the first line. Columns are numbered 1 up from
-    the least significant; their int entries are kept in ``columns``.
+    the least significant; their entries are kept in ``columns``, one
+    bytearray per column below base 256 (an entry is at most k), else one
+    list of ints.
     """
     gens, unmade = _lattice_rule(x, y, generators)
     if x.is_zero or y.is_zero:
@@ -194,7 +196,7 @@ def lattice_steps(x: LexNumeral, y: LexNumeral, generators=None, columns: list |
     made = {d for d in ys if unmade is None or not unmade(d)}  # split in their cells; an unmade one splits x
     splits = {d: _split(d, gens) for d in sorted(made if made == ys else made | xs)} if xs else {}
     columns = [] if columns is None else columns
-    columns += ([] for _ in range(m + n))
+    columns += (bytearray() if k < 256 else [] for _ in range(m + n))
     for i, xd in enumerate(x.digits, 1):
         for j, yd in enumerate(y.digits, 1):
             if xd not in xs or yd in gens:

@@ -1,5 +1,7 @@
 import itertools
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +29,21 @@ def decimal_x():
     from zeroless import Alphabet
 
     return Alphabet.named("decimal-x")
+
+
+@pytest.fixture
+def limited_child():
+    """(argv, env) of a Python child that limits its own address space to 256 MB, then runs code.
+
+    The limit acts on that process only; env puts this package on its
+    PYTHONPATH. By default the code runs the CLI on the given args.
+    """
+    import zeroless
+
+    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+
+    def child(*args, code="from zeroless import cli; sys.exit(cli.main(sys.argv[1:]))"):
+        limit = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+        return [sys.executable, "-c", limit + code, *args], env
+
+    return child

@@ -529,6 +529,15 @@ class TestLatticeTrace:
         assert result == x
         assert trace.columns == ((0,), (1, 0), (1,))
 
+    @pytest.mark.parametrize("k", [255, 256])
+    def test_largest_digits_at_the_byte_edge(self, k):
+        # the cell k*k leaves digit 0 and carry k: one byte in base 255, past a byte in base 256
+        x = LexNumeral(k, (k, k))
+        result, trace = lattice_multiply(x, x, trace=True)
+        assert result == multiply(x, x)
+        assert trace.columns == ((k,), (0, k, k), (0, 0, k), (0,))
+        assert all(type(entry) is int for col in trace.columns for entry in col)
+
     def test_zero_operand_trace(self):
         zero = LexNumeral.zero(10)
         result, trace = lattice_multiply(dx("42"), zero, trace=True)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -57,6 +58,17 @@ def test_scale_script_writes_its_json(tmp_path):
     assert set(compiled["files"]) == {path.name for path in (SCRIPT.parents[1] / "src" / "zeroless").glob("*.py")}
     assert all(ms > 0 for ms in compiled["files"].values())
     assert compiled["sum"] == pytest.approx(sum(compiled["files"].values()), abs=0.01)
+
+
+def test_child_peak_is_not_floored_by_the_parent():
+    """A bare child started by a parent that touched 100 MB reads its own peak, not the parent's."""
+    spec = importlib.util.spec_from_file_location("scale", SCRIPT)
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    ballast = b"\1" * (100 << 20)
+    ms, peaks = scale._children({"pass": [sys.executable, "-c", "pass"]}, 1)
+    assert len(ballast) == 100 << 20 and ms["pass"] > 0
+    assert 0 < peaks["pass"] < 50
 
 
 def test_scale_script_refuses_an_out_it_cannot_make(tmp_path):

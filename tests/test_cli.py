@@ -213,20 +213,11 @@ class TestTable:
         for line in out.splitlines():
             assert line == line.rstrip()
 
-    def test_human_grid_streams_in_bounded_memory(self, tmp_path):
-        """A 1200 by 1200 grid, whose k**2 cell texts alone take more, runs within 256 MB of address space.
-
-        The child limits itself, so the limit acts on that process only.
-        """
-        code = (
-            "import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
-            "from zeroless import cli; "
-            "sys.exit(cli.main(['table', 'mul', '-b', '1200']))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+    def test_human_grid_streams_in_bounded_memory(self, tmp_path, limited_child):
+        """A 1200 by 1200 grid, whose k**2 cell texts alone take more, runs within 256 MB of address space."""
+        argv, env = limited_child("table", "mul", "-b", "1200")
         with open(tmp_path / "grid.txt", "wb") as out:
-            proc = subprocess.run([sys.executable, "-c", code], stdout=out, stderr=subprocess.PIPE, env=env, timeout=120)
+            proc = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, env=env, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, b"")
         with open(tmp_path / "grid.txt", "rb") as grid:
             lines = grid.readlines()
@@ -244,19 +235,12 @@ class TestTable:
             assert (proc.returncode, proc.stdout) == (1, "")
             assert proc.stderr == f"error: table base must be <= {tables._MAX_BASE}, got {base}\n"
 
-    def test_largest_base_starts_within_the_grid_memory_budget(self):
+    def test_largest_base_starts_within_the_grid_memory_budget(self, limited_child):
         """At the bound, --machine prints its first line, and the human grid passes
         over rows, within the 256 MB of address space the 1200 grid gets above."""
-        code = (
-            "import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
-            "from zeroless import cli; "
-            "sys.exit(cli.main(sys.argv[1:]))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
         base = str(tables._MAX_BASE)
         for machine in (("--machine",), ()):
-            argv = [sys.executable, "-c", code, "table", "mul", *machine, "-b", base]
+            argv, env = limited_child("table", "mul", *machine, "-b", base)
             with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
                 try:
                     if machine:
@@ -291,18 +275,11 @@ class TestTraceSplits:
         code, out, err = run(capsys, *argv)
         assert (code, out.splitlines()[-1], err) == (0, "[61][938]", "")
 
-    def test_split_of_a_large_digit_runs_in_bounded_memory(self):
+    def test_split_of_a_large_digit_runs_in_bounded_memory(self, limited_child):
         """A base-4*10**8 trace of 4 lines runs within 256 MB of address space: its split is searched,
-        where a table up to the digit ran out of memory at 1 GB. The child limits itself."""
-        code = (
-            "import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
-            "from zeroless import cli; "
-            "sys.exit(cli.main(sys.argv[1:]))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
+        where a table up to the digit ran out of memory at 1 GB."""
         gens = "100000000,100000001"
-        argv = [sys.executable, "-c", code, "mul", "--trace", "-b", "400000000", "--generators", gens, *["[200000001]"] * 2]
+        argv, env = limited_child("mul", "--trace", "-b", "400000000", "--generators", gens, *["[200000001]"] * 2)
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         lines = proc.stdout.splitlines()
@@ -312,18 +289,10 @@ class TestTraceSplits:
         )
         assert lines[-2:] == ["with-zero: [100000001][1]", "[100000001][1]"]
 
-    def test_generator_check_above_base_256_runs_in_bounded_memory(self):
+    def test_generator_check_above_base_256_runs_in_bounded_memory(self, limited_child):
         """Without a trace too, a digit above base 256 is checked by its split search, not by a table of
-        one entry per class modulo the smallest generator (481 MB at 4*10**6). The child limits itself."""
-        code = (
-            "import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
-            "from zeroless import cli; "
-            "sys.exit(cli.main(sys.argv[1:]))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
-        argv = [sys.executable, "-c", code, "mul", "-b", "10000000000000000", "--generators", "4000000,4000001",
-                "[5]", "[7]"]
+        one entry per class modulo the smallest generator (481 MB at 4*10**6)."""
+        argv, env = limited_child("mul", "-b", "10000000000000000", "--generators", "4000000,4000001", "[5]", "[7]")
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         message = "error: cell 5 x 7: neither digit decomposes into generators [4000000, 4000001]\n"
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)

@@ -1,11 +1,7 @@
-import os
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import zeroless
 from zeroless import (
     Alphabet,
     LexNumeral,
@@ -253,18 +249,12 @@ def test_tables_are_cached():
     assert build_multiplication_table(7) is build_multiplication_table(7)
 
 
-def test_largest_tables_hold_no_cells():
-    """A table at the largest base, and a 1200 one, are made and looked up within 256 MB of address space.
-
-    The child limits itself, so the limit acts on that process only.
-    """
-    code = (
-        "import resource; "
-        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)); "
+def test_largest_tables_hold_no_cells(limited_child):
+    """A table at the largest base, and a 1200 one, are made and looked up within 256 MB of address space."""
+    argv, env = limited_child(code=(
         "from zeroless import tables; "
         "k = tables._MAX_BASE; "
         "print(tables.build_multiplication_table(k).entry(k, k), tables.build_addition_table(1200).entry(1200, 1200))"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(zeroless.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    ))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"({_MAX_BASE - 1}, {_MAX_BASE}) (1, 1200)\n", "")
