@@ -20,8 +20,10 @@ text has them, taking turns with the op kinds; the fastest of R passes
 over 20,000 is the µs per read.
 
 The long-numeral section times ``omega`` and ``sigma`` of one seeded
-base-4 numeral of 10**4 digits and one of 10**5, taking turns with the
-other kinds; the fastest of R passes is the ms per call.
+base-4 numeral of 10**4 digits and one of 10**5, ``parse_lex`` of a
+seeded 10**5-digit base-10 text (1..9,X) and ``sigma`` of a seeded
+10**4-digit base-60 numeral, taking turns with the other kinds; the
+fastest of R passes is the ms per call.
 
 The products section times ``multiply`` of two seeded numerals of
 10**3, 10**4 and 10**5 digits each in bases 4 and 10, and of 10**3 and
@@ -93,6 +95,7 @@ SEED = 4101
 READS, READ_BASES, LINE_WIDTH = 20000, 150, 80
 TABLE_BASE = 300
 LONG_BASE, LONG_DIGITS = 4, (10**4, 10**5)
+PARSE10_DIGITS, SIGMA60_DIGITS = 10**5, 10**4  # parse_lex in base 10, sigma in base 60
 PRODUCT_DIGITS = {4: (10**3, 10**4, 10**5), 10: (10**3, 10**4, 10**5), 60: (10**3, 10**4)}
 TABLES = {"multiplication_human": ("mul",), "multiplication_machine": ("mul", "--machine")}
 CLI_STARTS = {"encode_1": ("encode", "1"), "unrank_123456789": ("unrank", "123456789")}
@@ -267,6 +270,11 @@ def measure(calls_per_kind: int, repeat: int) -> dict:
         for h in lengths:
             a, b = (zl.LexNumeral(k, [rng.randint(1, k) for _ in range(h)]) for _ in "ab")
             work[h, f"product{k}"] = (zl.multiply, [(a, b)], 1)
+    # drawn after the operands above, which stay those of earlier files
+    text = "".join(rng.choices("123456789X", k=PARSE10_DIGITS))
+    work[f"parse_lex_{PARSE10_DIGITS}_base10", "long"] = (zl.parse_lex, [(text, 10, zl.default_alphabet(10))], 1)
+    a = zl.LexNumeral(60, [rng.randint(1, 60) for _ in range(SIGMA60_DIGITS)])
+    work[f"sigma_{SIGMA60_DIGITS}_base60", "long"] = (zl.sigma, [(60, zl.omega(a))], 1)
     big = int("7" * 100_000)
     work["python_loop", None] = (_python_loop, [()], 1)
     work["str_1e5_digits", None] = (str, [(big,)], 1)

@@ -11,6 +11,13 @@ and formatting for both the zeroless and the classical with-zero kinds.
 Ranks are plain Python ints, so genome-sized values need no special
 handling. ``omega`` and ``sigma`` convert between ranks and digits in
 ``radix``, which chooses the route by base and length.
+
+A numeral keeps its digits as a tuple of ints and checks them when it
+is made. Digits that come as bytes longer than ``BYTE_CHECK_DIGITS``,
+as the radix routes and the text parsers return long ones, are checked
+below base 256 by one ``bytes.translate`` against the base's digit
+bytes, with no Python step per digit; other digits are checked one
+by one.
 """
 
 from __future__ import annotations
@@ -33,6 +40,15 @@ _NO_SYMBOL = 255
 # first use; lists, so that a base that is no int cannot hit a cached test
 _LEX_TESTS = [None] * (_SET_BASES + 1)
 _ZERO_TESTS = [None] * (_SET_BASES + 1)
+#: Digits above which a numeral given as bytes in a base below 256 is
+#: checked by one ``bytes.translate`` against the base's digit bytes,
+#: not digit by digit as a tuple. The one pass overtakes the set from 8-16
+#: digits on CPython 3.10-3.13 and is 1.4-1.8x faster at 64; below that it
+#: saves under 0.5 µs a numeral.
+BYTE_CHECK_DIGITS = 64
+# base: the digit bytes of LexNumeral or ZeroNumeral below 256, made on first use
+_LEX_BYTES = [None] * 256
+_ZERO_BYTES = [None] * 256
 
 #: Names accepted wherever an alphabet can be passed by name.
 NAMED_ALPHABETS = ("acgt", "decimal-x", "bracket")
@@ -111,6 +127,19 @@ def _digit_test(tests, base, low):
     return ordered
 
 
+def _bytes_valid(digits, base, table, low):
+    """Whether each byte of digits is in [low, base + low - 1], by one
+    translate; False from base 256 on, or for a base that is no int, where
+    the per-digit test decides. ``table`` caches the valid bytes per base."""
+    try:
+        valid = table[base]
+    except (IndexError, TypeError):
+        return False
+    if valid is None:
+        valid = table[base] = bytes(range(low, base + low))
+    return not digits.translate(None, valid)
+
+
 class Alphabet(_Frozen):
     """Ordered display symbols for the digits of either notation.
 
@@ -186,7 +215,12 @@ class _Numeral(_Frozen):
     """Digit string in a base, most significant first, in either notation.
 
     Any iterable of digits is kept as a tuple, which each subclass's
-    ``__post_init__`` checks by its notation's rules.
+    ``__post_init__`` checks by its notation's rules. Bytes longer than
+    BYTE_CHECK_DIGITS, which the radix routes and text parsers return,
+    are also passed to it, as its one optional argument: below base 256
+    it checks them in one ``bytes.translate`` rather than the tuple digit
+    by digit. A numeral equals only a numeral of its own class with the
+    same base and digits.
     """
 
     __slots__ = ("base", "digits")
@@ -194,7 +228,19 @@ class _Numeral(_Frozen):
     def __init__(self, base: int, digits: tuple[int, ...]):
         _set_base(self, base)
         _set_digits(self, tuple(digits))
-        self.__post_init__()  # a class attribute, so wrappers see every construction
+        # a class attribute, so wrappers see every construction
+        if digits.__class__ is bytes and len(digits) > BYTE_CHECK_DIGITS:
+            self.__post_init__(digits)
+        else:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base == other.base and self.digits == other.digits
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.digits))
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -209,18 +255,20 @@ class LexNumeral(_Numeral):
 
     __slots__ = ()
 
-    def __post_init__(self):
+    def __post_init__(self, digit_bytes=None):
         base, digits = self.base, self.digits
         if base < 1:  # operator.index: a float base is a TypeError here too, as above the range
             raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(base))}")
+        if digit_bytes is not None and _bytes_valid(digit_bytes, base, _LEX_BYTES, 1):
+            return
         try:
-            test = _LEX_TESTS[base] if base <= _SET_BASES else None
-        except TypeError:  # no int, which _digit_test refuses
+            test = _LEX_TESTS[base]
+        except (IndexError, TypeError):  # above _SET_BASES, or no int, which _digit_test refuses
             test = None
         if test is None:
             test = _digit_test(_LEX_TESTS, base, 1)
         if digits and not test(digits):
-            raise ValueError(f"digits {digits} not all in [1, {_echo_int(base)}]")
+            raise ValueError(f"digits {_echo_digits(digits)} not all in [1, {_echo_int(base)}]")
 
     @property
     def is_zero(self) -> bool:
@@ -239,20 +287,21 @@ class ZeroNumeral(_Numeral):
 
     __slots__ = ()
 
-    def __post_init__(self):
+    def __post_init__(self, digit_bytes=None):
         base, digits = self.base, self.digits
         if base < 2:
             raise ValueError(f"with-zero base must be >= 2, got {_echo_int(operator.index(base))}")
-        try:
-            test = _ZERO_TESTS[base] if base <= _SET_BASES else None
-        except TypeError:  # no int, which _digit_test refuses
-            test = None
-        if test is None:
-            test = _digit_test(_ZERO_TESTS, base, 0)
-        if not digits:
-            raise ValueError("with-zero numeral needs at least one digit; zero is (0,)")
-        if not test(digits):
-            raise ValueError(f"digits {digits} not all in [0, {_echo_int(base - 1)}]")
+        if digit_bytes is None or not _bytes_valid(digit_bytes, base, _ZERO_BYTES, 0):
+            try:
+                test = _ZERO_TESTS[base]
+            except (IndexError, TypeError):  # above _SET_BASES, or no int, which _digit_test refuses
+                test = None
+            if test is None:
+                test = _digit_test(_ZERO_TESTS, base, 0)
+            if not digits:
+                raise ValueError("with-zero numeral needs at least one digit; zero is (0,)")
+            if not test(digits):
+                raise ValueError(f"digits {_echo_digits(digits)} not all in [0, {_echo_int(base - 1)}]")
         if len(digits) > 1 and digits[0] == 0:
             raise ValueError("leading zero: with-zero numerals are canonical")
 
@@ -411,6 +460,12 @@ def _echo(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
+def _echo_digits(digits: tuple) -> str:
+    """A digit tuple for an error message, cut after 40 characters as ``_echo`` cuts text."""
+    text = str(digits[:40])  # 40 digits make more than 40 characters
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(digits)} digits)"
+
+
 def _echo_int(n: int) -> str:
     """An int for an error message, cut after 40 digits as ``_echo`` cuts text.
 
@@ -531,15 +586,16 @@ def parse_lex(text: str, base: int | None = None, alphabet: Alphabet | None = No
     Without an alphabet only bracket ciphers are accepted, and the base
     must be given explicitly.
     """
+    symbols = None
     if alphabet is not None:
-        if base is not None and base != alphabet.base:
-            raise ValueError(f"base {_echo_int(base)} disagrees with alphabet of size {alphabet.base}")
-        base = alphabet.base
+        symbols = alphabet.symbols
+        if base is not None and base != len(symbols):
+            raise ValueError(f"base {_echo_int(base)} disagrees with alphabet of size {len(symbols)}")
+        base = len(symbols)
     if base is None:
         raise ValueError("parsing needs a base or an alphabet")
     if text == ZERO_TOKEN or text == "":
         return LexNumeral(base, ())
-    symbols = alphabet.symbols if alphabet is not None else None
     try:
         digits = _parse_ciphers(text, base, symbols, 1)
     except ValueError:

@@ -57,6 +57,8 @@ _LEAST_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 640)
 # ASCII digits to the digit values low..low+9, and back, for low 0 and 1
 _FROM_ASCII = tuple(bytes.maketrans(b"0123456789", bytes(range(low, low + 10))) for low in (0, 1))
 _TO_ASCII = tuple(bytes.maketrans(bytes(range(low, low + 10)), b"0123456789") for low in (0, 1))
+# each byte below 255 to the next: with-zero digits raised to zeroless ones
+_RAISE = bytes(range(1, 256)) + b"\0"
 # each hex digit to the byte whose two hex digits are its two base-4 digits
 _QUADS = bytes.maketrans(b"0123456789abcdef", bytes((v >> 2) << 4 | v & 3 for v in range(16)))
 # repunits (10**h - 1) // 9 = minlex(10, h), for every h a rank of at most
@@ -111,26 +113,30 @@ def number(digits, k, low):
 
 def digits(n, k, low):
     """Digits of the value n >= 1 (low 0) or rank n >= 0 (low 1) in base
-    k >= 2, most significant first, as a list or bytes.
+    k >= 2, most significant first, as a list or bytes; long ones are
+    bytes below base 256.
 
     A base-10 rank of at most PEEL_BITS bits takes its length from its bit
     length and one comparison with a repunit, and minlex from a table.
     """
     bits = n.bit_length()
     if bits <= (PEEL10_BITS if k == 10 else PEEL_BITS):
-        # n - low = q*k + r: the last digit is r + low, and q the rest
+        # n - low = q*k + r: the last digit is r + low, and q the rest;
+        # % and // outrun divmod's tuple up to 256 bits on CPython 3.10-3.13
         out = []
         while n:
-            n, r = divmod(n - low, k)
-            out.append(r + low)
+            n -= low
+            out.append(n % k + low)
+            n //= k
         out.reverse()
         return out
     if not low:
         h = ilog(k, n) + 1
     elif k == 10 and bits <= PEEL_BITS:
+        # at most 78 digits, which str() writes under any int/str limit
         h = _LEX10_LENGTHS[bits]
         h += n >= _REPUNITS[h + 1]
-        n -= _REPUNITS[h]
+        return str(n - _REPUNITS[h]).zfill(h).encode().translate(_FROM_ASCII[1])
     else:
         h = lex_length(k, n)
         n -= (k**h - 1) // (k - 1)
@@ -138,6 +144,9 @@ def digits(n, k, low):
     if out is not None:
         return out.translate(_FROM_ASCII[low])
     out = split(n, k, h)
+    if k < 256:  # as bytes, which a numeral checks in one pass
+        out = bytes(out)
+        return out.translate(_RAISE) if low else out
     return [d + 1 for d in out] if low else out
 
 

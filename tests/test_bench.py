@@ -32,7 +32,9 @@ def test_scale_script_writes_its_json(tmp_path):
     assert all(us > 0 for us in fasta["us_per_read"].values())
     long_numerals = result["long_numerals"]
     assert (long_numerals["base"], long_numerals["digits"]) == (4, [10**4, 10**5])
-    assert set(long_numerals["ms_per_call"]) == {"omega_10000", "sigma_10000", "omega_100000", "sigma_100000"}
+    assert set(long_numerals["ms_per_call"]) == {
+        "omega_10000", "sigma_10000", "omega_100000", "sigma_100000", "parse_lex_100000_base10", "sigma_10000_base60"
+    }
     assert all(ms > 0 for ms in long_numerals["ms_per_call"].values())
     products = result["products"]
     digits = {"4": [1000, 10000, 100000], "10": [1000, 10000, 100000], "60": [1000, 10000]}

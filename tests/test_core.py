@@ -224,6 +224,60 @@ class TestDigitCheck:
         assert LexNumeral(4, t).digits is t
 
 
+@st.composite
+def checked_digits(draw, low):
+    """(base, digits) of a length at BYTE_CHECK_DIGITS ±1: in range, or with
+    one digit 0, k, k+1 or 255 first, in the middle or last."""
+    k = draw(st.sampled_from((2, 10, 60, 254, 255, 256, 257)))
+    n = draw(st.sampled_from((-1, 0, 1))) + core.BYTE_CHECK_DIGITS
+    top = min(k + low - 1, 255)  # the greatest valid digit a byte holds
+    digits = [draw(st.integers(1, top))] + draw(st.lists(st.integers(low, top), min_size=n - 1, max_size=n - 1))
+    bad = draw(st.sampled_from((None, 0, k, k + 1, 255)))
+    if bad is not None:
+        digits[draw(st.sampled_from((0, n // 2, n - 1)))] = bad
+    return k, digits
+
+
+class TestByteCheck:
+    """Long bytes below base 256 are checked in one pass; every input form agrees."""
+
+    @pytest.mark.parametrize("cls, low", [(LexNumeral, 1), (ZeroNumeral, 0)])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_tuple_list_and_iterator_agree(self, cls, low, data):
+        k, digits = data.draw(checked_digits(low))
+        forms = [tuple(digits), list(digits), iter(digits)]
+        if max(digits) <= 255:
+            forms.append(bytes(digits))
+        outcomes = []
+        for form in forms:
+            try:
+                value = cls(k, form)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            else:
+                assert type(value.digits) is tuple and value.digits == tuple(digits)
+                outcomes.append(value)
+        assert outcomes == [outcomes[0]] * len(forms)
+        in_range = low <= min(digits) and max(digits) <= k + low - 1
+        assert isinstance(outcomes[0], cls) == (in_range and not (low == 0 and digits[0] == 0))
+
+    @pytest.mark.parametrize("cls, low", [(LexNumeral, 1), (ZeroNumeral, 0)])
+    def test_a_long_error_echoes_forty_characters_and_the_count(self, cls, low):
+        digits = (1,) * 10**5 + (10 + low,)
+        text = f"digits {str((1,) * 40)[:40]}... (100001 digits) not all in [{low}, {9 + low}]"
+        for form in (digits, bytes(digits)):
+            with pytest.raises(ValueError) as exc:
+                cls(10, form)
+            assert str(exc.value) == text
+
+    @pytest.mark.parametrize("cls", [LexNumeral, ZeroNumeral])
+    @pytest.mark.parametrize("base", [4.0, 300.0])
+    def test_long_bytes_in_a_base_that_is_no_int(self, cls, base):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            cls(base, b"\x01" * (core.BYTE_CHECK_DIGITS + 1))
+
+
 class TestShortlexCompare:
     def test_prefix_is_less(self, acgt):
         assert shortlex_compare(parse_lex("A", alphabet=acgt), parse_lex("AA", alphabet=acgt)) == -1

@@ -2,7 +2,9 @@
 
 ``TestRouteEdges`` builds its cases from radix's own thresholds
 (``HORNER_DIGITS``, ``CUTOFF`` and its doubling, ``PEEL10_BITS``,
-``PEEL_BITS``, ``PRODUCT10_DIGITS``) and CPython's int/str limits, and
+``PEEL_BITS``, ``PRODUCT10_DIGITS``), core's ``BYTE_CHECK_DIGITS``, from
+which numerals built from route bytes are checked in one pass, and
+CPython's int/str limits, and
 runs each through ``check_routes``: ranks either side of every edge, in
 11 bases, under the lowest limit, the default one and none.
 ``TestDecimalProduct`` checks long base-10 products; the other classes
@@ -35,7 +37,7 @@ from zeroless import (
     theta_zero_to_lex,
     unrank_sequence,
 )
-from zeroless.core import sigma_oracle
+from zeroless.core import BYTE_CHECK_DIGITS, sigma_oracle
 from zeroless.radix import PEEL10_BITS, PEEL_BITS, PRODUCT10_DIGITS
 
 C = radix.CUTOFF
@@ -298,7 +300,7 @@ def _route_cases():
     factor.
     """
     for k in (2, 3, 4, 8, 10, 16, 36, 60, 255, 256, 257):
-        edges = [radix.HORNER_DIGITS, radix.CUTOFF, 2 * radix.CUTOFF]
+        edges = [radix.HORNER_DIGITS, radix.CUTOFF, 2 * radix.CUTOFF, BYTE_CHECK_DIGITS]
         if k == 10:  # with the pads, lengths 1 to one past the longest the tables serve
             edges += range(2, len(str(1 << PEEL_BITS)) + 1)
         limits = LIMITS[:2] if radix.readable(k, 1) else ()

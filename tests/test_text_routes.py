@@ -23,6 +23,7 @@ from zeroless import (
     sigma,
     successor,
 )
+from zeroless.core import BYTE_CHECK_DIGITS
 
 PRINTABLE = string.digits + string.ascii_letters + string.punctuation  # the 94 printable non-space ASCII
 SYMBOLS = PRINTABLE.replace("[", "").replace("]", "")  # the 92 an Alphabet takes
@@ -184,9 +185,10 @@ def test_numerals_reach_post_init_once_per_construction(monkeypatch):
     seen = []
     for cls in (LexNumeral, ZeroNumeral):
 
-        def counting(self, check=cls.__post_init__):
-            seen.append((type(self), self.digits))
-            check(self)
+        # long digit bytes come as an argument, the tuple already stored
+        def counting(self, *digit_bytes, check=cls.__post_init__):
+            seen.append((type(self), self.digits, *map(tuple, digit_bytes)))
+            check(self, *digit_bytes)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
     made = [
@@ -203,5 +205,12 @@ def test_numerals_reach_post_init_once_per_construction(monkeypatch):
         ZeroNumeral(10, [1, 0]),
         parse_zero("120", 10),
         parse_zero("[59][0]", 60),
+        # past BYTE_CHECK_DIGITS, from the text, block and symbol routes
+        sigma(10, 10**100),
+        sigma(60, 60**100),
+        parse_lex("GATT" * 20, alphabet=Alphabet.from_string("ACGT")),
+        parse_zero("1" + "0" * 70, 10),
     ]
-    assert seen == [(type(v), v.digits) for v in made]
+    long = [len(v) > BYTE_CHECK_DIGITS for v in made]
+    assert long == [False] * 13 + [True] * 4
+    assert seen == [(type(v), v.digits, *[v.digits] * is_long) for v, is_long in zip(made, long)]
