@@ -15,8 +15,6 @@ by a bounded search. Every digit is checked against the generators
 first, and the product itself is taken by rank.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator
@@ -35,6 +33,7 @@ def add(a: LexNumeral, b: LexNumeral) -> LexNumeral:
 
 def scale(a: LexNumeral, d: int) -> LexNumeral:
     """Product of a zeroless numeral with a single digit d in [1, base]."""
+    d = operator.index(d)
     if not 1 <= d <= a.base:
         raise ValueError(f"digit {_echo_int(d)} out of range [1, {_echo_int(a.base)}]")
     if a.is_zero:

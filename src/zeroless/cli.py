@@ -19,8 +19,6 @@ in process, for tests and library callers; it leaves the collector as
 it finds it.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys

@@ -8,8 +8,6 @@ k, and a leading digit that empties out is dropped. Both directions
 preserve the value exactly and are mutually inverse on canonical forms.
 """
 
-from __future__ import annotations
-
 import operator
 
 from zeroless import _backend, radix
@@ -25,6 +23,7 @@ def delta(k: int, n: int) -> ZeroNumeral:
     """Canonical with-zero numeral of a value n >= 0."""
     if k < 2:
         raise ValueError(f"with-zero base must be >= 2, got {_echo_int(operator.index(k))}")
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"value must be >= 0, got {_echo_int(n)}")
     return ZeroNumeral(k, (n,) if n < k else radix.digits(n, k, 0))

@@ -13,14 +13,11 @@ handling. ``omega`` and ``sigma`` convert between ranks and digits in
 ``radix``, which chooses the route by base and length.
 
 A numeral keeps its digits as a tuple of ints and checks them when it
-is made. Digits that come as bytes longer than ``BYTE_CHECK_DIGITS``,
-as the radix routes and the text parsers return long ones, are checked
-below base 256 by one ``bytes.translate`` against the base's digit
-bytes, with no Python step per digit; other digits are checked one
-by one.
+is made. Digits that come as bytes, as the radix routes and the text
+parsers return them, are checked below base 256 by one
+``bytes.translate`` against the base's digit bytes, with no Python step
+per digit; other digits are checked one by one.
 """
-
-from __future__ import annotations
 
 import functools
 import operator
@@ -40,12 +37,6 @@ _NO_SYMBOL = 255
 # first use; lists, so that a base that is no int cannot hit a cached test
 _LEX_TESTS = [None] * (_SET_BASES + 1)
 _ZERO_TESTS = [None] * (_SET_BASES + 1)
-#: Digits above which a numeral given as bytes in a base below 256 is
-#: checked by one ``bytes.translate`` against the base's digit bytes,
-#: not digit by digit as a tuple. The one pass overtakes the set from 8-16
-#: digits on CPython 3.10-3.13 and is 1.4-1.8x faster at 64; below that it
-#: saves under 0.5 µs a numeral.
-BYTE_CHECK_DIGITS = 64
 # base: the digit bytes of LexNumeral or ZeroNumeral below 256, made on first use
 _LEX_BYTES = [None] * 256
 _ZERO_BYTES = [None] * 256
@@ -215,12 +206,11 @@ class _Numeral(_Frozen):
     """Digit string in a base, most significant first, in either notation.
 
     Any iterable of digits is kept as a tuple, which each subclass's
-    ``__post_init__`` checks by its notation's rules. Bytes longer than
-    BYTE_CHECK_DIGITS, which the radix routes and text parsers return,
-    are also passed to it, as its one optional argument: below base 256
-    it checks them in one ``bytes.translate`` rather than the tuple digit
-    by digit. A numeral equals only a numeral of its own class with the
-    same base and digits.
+    ``__post_init__`` checks by its notation's rules. Bytes, which the
+    radix routes and text parsers return, are also passed to it, as its
+    one optional argument: below base 256 it checks them in one
+    ``bytes.translate`` rather than the tuple digit by digit. A numeral
+    equals only a numeral of its own class with the same base and digits.
     """
 
     __slots__ = ("base", "digits")
@@ -229,7 +219,7 @@ class _Numeral(_Frozen):
         _set_base(self, base)
         _set_digits(self, tuple(digits))
         # a class attribute, so wrappers see every construction
-        if digits.__class__ is bytes and len(digits) > BYTE_CHECK_DIGITS:
+        if digits.__class__ is bytes:
             self.__post_init__(digits)
         else:
             self.__post_init__()
@@ -298,10 +288,10 @@ class ZeroNumeral(_Numeral):
                 test = None
             if test is None:
                 test = _digit_test(_ZERO_TESTS, base, 0)
-            if not digits:
-                raise ValueError("with-zero numeral needs at least one digit; zero is (0,)")
-            if not test(digits):
+            if digits and not test(digits):
                 raise ValueError(f"digits {_echo_digits(digits)} not all in [0, {_echo_int(base - 1)}]")
+        if not digits:
+            raise ValueError("with-zero numeral needs at least one digit; zero is (0,)")
         if len(digits) > 1 and digits[0] == 0:
             raise ValueError("leading zero: with-zero numerals are canonical")
 
@@ -358,8 +348,9 @@ def maxlex(k: int, h: int) -> int:
 
 def minlex(k: int, h: int) -> int:
     """Smallest rank with representation length h: sum of k^0..k^(h-1)."""
+    k = operator.index(k)
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
     if operator.index(h) < 0:
         raise ValueError(f"length must be >= 0, got {_echo_int(h)}")
     if k == 1:
@@ -380,8 +371,9 @@ def lex_length(k: int, n: int) -> int:
     A logarithm estimate is settled by exact integer comparisons, so
     boundary values such as n == maxlex(k, h) stay exact.
     """
+    k = operator.index(k)
     if k < 1:
-        raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
+        raise ValueError(f"base must be >= 1, got {_echo_int(k)}")
     if operator.index(n) < 1:
         raise ValueError("zero is the empty string; it has no length")
     if k == 1:
@@ -398,11 +390,12 @@ def sigma(k: int, n: int) -> LexNumeral:
     """
     if k < 1:
         raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {_echo_int(n)}")
     if k == 1:
         return LexNumeral(1, (1,) * n)  # unary closed form
-    return LexNumeral(k, (n,) if 0 < n <= k else radix.digits(n, k, 1))
+    return LexNumeral(k, radix.digits(n, k, 1))
 
 
 def sigma_oracle(k: int, n: int) -> LexNumeral:
@@ -414,6 +407,7 @@ def sigma_oracle(k: int, n: int) -> LexNumeral:
     """
     if k < 1:
         raise ValueError(f"base must be >= 1, got {_echo_int(operator.index(k))}")
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"rank must be >= 0, got {_echo_int(n)}")
     if k == 1:

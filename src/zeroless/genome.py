@@ -25,8 +25,6 @@ names its line and column, raised after the records before its own and
 after any error in the text before it.
 """
 
-from __future__ import annotations
-
 import io
 import operator
 import os

@@ -3,12 +3,14 @@
 ``number`` and ``digits`` convert between an int and its base-k digits,
 with-zero ones of a value (low 0) or zeroless ones of a rank (low 1), by
 one set of routes: the zeroless numeral of rank n and length h is the h
-with-zero digits of n - minlex(k, h), each raised by one. ``text``
-writes such text by C conversions, in base 10 by ``str()`` up to
-``decimal_limit()`` digits and in base 4 by ``hex()`` with each hex
-digit widened to two base-4 digits, and ``readable`` says where
-``int(text, k)`` reads it back. Base 4 is linear; base 10 is quadratic
-before Python 3.12, but beats the loops below to about 10**4 digits.
+with-zero digits of n - minlex(k, h), each raised by one. Up to
+``PEEL_BITS`` bits, ``digits`` writes base 10 with one ``str()`` and
+peels other bases one digit per step. ``text`` writes such text by C
+conversions, in base 10 by ``str()`` up to ``decimal_limit()`` digits
+and in base 4 by ``hex()`` with each hex digit widened to two base-4
+digits, and ``readable`` says where ``int(text, k)`` reads it back.
+Base 4 is linear; base 10 is quadratic before Python 3.12, but beats
+the loops below to about 10**4 digits.
 
 ``decimal_product`` multiplies two base-10 numerals with no int at all:
 each rank is its offset text, read by the C ``decimal`` module (libmpdec),
@@ -28,8 +30,6 @@ so there it stays quadratic in machine words, with a far smaller
 constant than one bignum divmod per digit.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys
@@ -37,10 +37,10 @@ import sys
 #: Digit count at or below which the plain loops run; above it, the
 #: loops work on blocks of this many digits.
 CUTOFF = 64
-#: Bits up to which ``digits`` peels one digit per step, in base 10 and
-#: in others: str() overtakes the peel from 4-5 digits on CPython
-#: 3.10-3.13, the split from 400-600 bits on 3.11.
-PEEL10_BITS, PEEL_BITS = 16, 256
+#: Bits up to which ``digits`` writes base 10 with one str() and peels
+#: other bases one digit per step; the split overtakes the peel from
+#: 400-600 bits on CPython 3.11.
+PEEL_BITS = 256
 #: Digits up to which ``number`` runs the Horner loop; it crosses the
 #: int() route at 14-16 digits in base 10 on CPython 3.10-3.13.
 HORNER_DIGITS = 15
@@ -113,14 +113,22 @@ def number(digits, k, low):
 
 def digits(n, k, low):
     """Digits of the value n >= 1 (low 0) or rank n >= 0 (low 1) in base
-    k >= 2, most significant first, as a list or bytes; long ones are
-    bytes below base 256.
+    k >= 2, most significant first, as a list or bytes; base-10 and long
+    ones are bytes below base 256.
 
-    A base-10 rank of at most PEEL_BITS bits takes its length from its bit
-    length and one comparison with a repunit, and minlex from a table.
+    Base 10 writes a value or rank of at most PEEL_BITS bits with one
+    str(): a rank takes its length from its bit length and one comparison
+    with a repunit, and minlex from a table.
     """
     bits = n.bit_length()
-    if bits <= (PEEL10_BITS if k == 10 else PEEL_BITS):
+    if k == 10 and bits <= PEEL_BITS:
+        # at most 78 digits, which str() writes under any int/str limit
+        if not low:
+            return str(n).encode().translate(_FROM_ASCII[0])
+        h = _LEX10_LENGTHS[bits]
+        h += n >= _REPUNITS[h + 1]
+        return str(n - _REPUNITS[h]).zfill(h).encode().translate(_FROM_ASCII[1]) if n else b""
+    if bits <= PEEL_BITS:
         # n - low = q*k + r: the last digit is r + low, and q the rest;
         # % and // outrun divmod's tuple up to 256 bits on CPython 3.10-3.13
         out = []
@@ -132,11 +140,6 @@ def digits(n, k, low):
         return out
     if not low:
         h = ilog(k, n) + 1
-    elif k == 10 and bits <= PEEL_BITS:
-        # at most 78 digits, which str() writes under any int/str limit
-        h = _LEX10_LENGTHS[bits]
-        h += n >= _REPUNITS[h + 1]
-        return str(n - _REPUNITS[h]).zfill(h).encode().translate(_FROM_ASCII[1])
     else:
         h = lex_length(k, n)
         n -= (k**h - 1) // (k - 1)

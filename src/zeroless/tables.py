@@ -10,8 +10,6 @@ holds O(k) cells, never k**2. Tests check the result against the rank
 maps independently.
 """
 
-from __future__ import annotations
-
 import operator
 from functools import lru_cache
 from itertools import chain

@@ -531,7 +531,7 @@ def test_version(capsys):
 
 def test_import_leaves_out_heavy_stdlib_modules():
     """Every CLI run pays for its imports: none of these may come with the package."""
-    heavy = ("dataclasses", "inspect", "ast", "dis")
+    heavy = ("__future__", "dataclasses", "inspect", "ast", "dis")
     code = (
         "import sys; before = set(sys.modules); import zeroless.cli; "
         f"print(sorted(set({heavy!r}) & (set(sys.modules) - before)))"

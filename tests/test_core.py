@@ -21,6 +21,7 @@ from zeroless import (
     parse_zero,
     predecessor,
     rank_within_length,
+    scale,
     shortlex_compare,
     sigma,
     successor,
@@ -214,6 +215,30 @@ class TestDigitCheck:
             with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
                 make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sigma(10, 2.0),
+            lambda: sigma(10, 12.0),
+            lambda: sigma_oracle(10, 2.0),
+            lambda: delta(10, 3.0),
+            lambda: delta(10, 30.0),
+            lambda: minlex(2.0, 3),
+            lambda: maxlex(2.0, 3),
+            lambda: lex_length(2.5, 10),
+            lambda: scale(LexNumeral(10, (5,)), 2.0),
+        ],
+        ids=["sigma-2.0", "sigma-12.0", "sigma_oracle-2.0", "delta-3.0", "delta-30.0", "minlex-2.0", "maxlex-2.0",
+             "lex_length-2.5", "scale-2.0"],
+    )
+    def test_a_rank_value_base_or_digit_that_is_no_int_is_refused(self, make):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            make()
+
+    def test_a_bool_rank_or_value_makes_an_int_digit(self):
+        for made in (sigma(10, True), sigma_oracle(10, True), delta(10, True)):
+            assert made.digits == (1,) and type(made.digits[0]) is int
+
     def test_digits_are_kept_as_a_tuple(self):
         a = LexNumeral(10, [1, 2])
         assert a.digits == (1, 2) and hash(a) == hash(LexNumeral(10, (1, 2)))
@@ -226,10 +251,10 @@ class TestDigitCheck:
 
 @st.composite
 def checked_digits(draw, low):
-    """(base, digits) of a length at BYTE_CHECK_DIGITS ±1: in range, or with
-    one digit 0, k, k+1 or 255 first, in the middle or last."""
+    """(base, digits) of 1-3 or 63-65 digits: in range, or with one digit
+    0, k, k+1 or 255 first, in the middle or last."""
     k = draw(st.sampled_from((2, 10, 60, 254, 255, 256, 257)))
-    n = draw(st.sampled_from((-1, 0, 1))) + core.BYTE_CHECK_DIGITS
+    n = draw(st.sampled_from((1, 2, 3, 63, 64, 65)))
     top = min(k + low - 1, 255)  # the greatest valid digit a byte holds
     digits = [draw(st.integers(1, top))] + draw(st.lists(st.integers(low, top), min_size=n - 1, max_size=n - 1))
     bad = draw(st.sampled_from((None, 0, k, k + 1, 255)))
@@ -239,7 +264,7 @@ def checked_digits(draw, low):
 
 
 class TestByteCheck:
-    """Long bytes below base 256 are checked in one pass; every input form agrees."""
+    """Bytes below base 256 are checked in one pass; every input form agrees."""
 
     @pytest.mark.parametrize("cls, low", [(LexNumeral, 1), (ZeroNumeral, 0)])
     @given(data=st.data())
@@ -260,7 +285,7 @@ class TestByteCheck:
                 outcomes.append(value)
         assert outcomes == [outcomes[0]] * len(forms)
         in_range = low <= min(digits) and max(digits) <= k + low - 1
-        assert isinstance(outcomes[0], cls) == (in_range and not (low == 0 and digits[0] == 0))
+        assert isinstance(outcomes[0], cls) == (in_range and not (low == 0 and len(digits) > 1 and digits[0] == 0))
 
     @pytest.mark.parametrize("cls, low", [(LexNumeral, 1), (ZeroNumeral, 0)])
     def test_a_long_error_echoes_forty_characters_and_the_count(self, cls, low):
@@ -275,7 +300,7 @@ class TestByteCheck:
     @pytest.mark.parametrize("base", [4.0, 300.0])
     def test_long_bytes_in_a_base_that_is_no_int(self, cls, base):
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-            cls(base, b"\x01" * (core.BYTE_CHECK_DIGITS + 1))
+            cls(base, b"\x01" * 65)
 
 
 class TestShortlexCompare:

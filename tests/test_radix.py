@@ -1,16 +1,15 @@
 """Every radix route against plain digit loops.
 
 ``TestRouteEdges`` builds its cases from radix's own thresholds
-(``HORNER_DIGITS``, ``CUTOFF`` and its doubling, ``PEEL10_BITS``,
-``PEEL_BITS``, ``PRODUCT10_DIGITS``), core's ``BYTE_CHECK_DIGITS``, from
-which numerals built from route bytes are checked in one pass, and
-CPython's int/str limits, and
-runs each through ``check_routes``: ranks either side of every edge, in
-11 bases, under the lowest limit, the default one and none.
-``TestDecimalProduct`` checks long base-10 products; the other classes
-test the block loops and length searches on their own. References are
-the left-to-right Horner loop, ``plain_digits`` and ``sigma_oracle``
-(last digit peeled per step), none of which goes through ``radix``.
+(``HORNER_DIGITS``, ``CUTOFF`` and its doubling, ``PEEL_BITS``,
+``PRODUCT10_DIGITS``) and CPython's int/str limits, and runs each
+through ``check_routes``: ranks either side of every edge, in 11 bases,
+under the lowest limit, the default one and none. ``TestDecimalDigits``
+checks base-10 ``digits`` n by n; ``TestDecimalProduct`` checks long
+base-10 products; the other classes test the block loops and length
+searches on their own. References are the left-to-right Horner loop,
+``plain_digits``, ``str()`` and ``sigma_oracle`` (last digit peeled per
+step), none of which goes through ``radix``.
 """
 
 import random
@@ -37,8 +36,8 @@ from zeroless import (
     theta_zero_to_lex,
     unrank_sequence,
 )
-from zeroless.core import BYTE_CHECK_DIGITS, sigma_oracle
-from zeroless.radix import PEEL10_BITS, PEEL_BITS, PRODUCT10_DIGITS
+from zeroless.core import sigma_oracle
+from zeroless.radix import PEEL_BITS, PRODUCT10_DIGITS
 
 C = radix.CUTOFF
 LENGTHS = (C - 1, C, C + 1, 2 * C, 2 * C + 1, 1000, 5000)
@@ -237,6 +236,26 @@ class TestBase4Route:
                 check_routes(4, n, int_limit)
 
 
+class TestDecimalDigits:
+    """radix.digits in base 10 against str() for values and sigma_oracle for ranks."""
+
+    @staticmethod
+    def check(n):
+        assert "".join(map(str, radix.digits(n, 10, 0))) == str(n)
+        assert tuple(radix.digits(n, 10, 1)) == sigma_oracle(10, n).digits
+
+    def test_every_n_below_2_to_the_17(self):
+        assert radix.digits(0, 10, 1) == b""
+        for n in range(1, 1 << 17):
+            self.check(n)
+
+    def test_seeded_n_of_every_bit_length_to_400(self):
+        rng = random.Random(400)
+        for bits in range(1, 401):
+            for _ in range(20):
+                self.check(rng.getrandbits(bits) | 1 << (bits - 1))
+
+
 class TestDecimalProduct:
     """Base-10 products through radix.decimal_product against the int route and a plain-int oracle.
 
@@ -291,16 +310,17 @@ class TestDecimalProduct:
 def _route_cases():
     """Per base, the ranks at and either side of each radix cut-over.
 
-    Lengths sit at each edge length ±1, base 4 also taking each h mod 4
-    the hex widening strips, base 10 every length its tables of lengths
-    and repunits serve, and bases with a C text route the two limit
-    lengths ±1, where products are checked too; bit sizes sit at each
-    peel edge. Base-10 products have factors whose lengths sum to
-    PRODUCT10_DIGITS and either side of it, halved or with a one-digit
-    factor.
+    Lengths sit at each edge length ±1 and at 63-65, base 4 also taking
+    each h mod 4 the hex widening strips, base 10 every length its tables
+    of lengths and repunits serve, and bases with a C text route the two
+    limit lengths ±1, where products are checked too; bit sizes sit at
+    the peel edge and at 2**16 ± 2, with rank 0. Base 10 also takes the
+    values 10**h - 1, 10**h and 10**h + 1 up to PEEL_BITS bits. Base-10
+    products have factors whose lengths sum to PRODUCT10_DIGITS and either
+    side of it, halved or with a one-digit factor.
     """
     for k in (2, 3, 4, 8, 10, 16, 36, 60, 255, 256, 257):
-        edges = [radix.HORNER_DIGITS, radix.CUTOFF, 2 * radix.CUTOFF, BYTE_CHECK_DIGITS]
+        edges = [radix.HORNER_DIGITS, radix.CUTOFF, 2 * radix.CUTOFF, 64]
         if k == 10:  # with the pads, lengths 1 to one past the longest the tables serve
             edges += range(2, len(str(1 << PEEL_BITS)) + 1)
         limits = LIMITS[:2] if radix.readable(k, 1) else ()
@@ -309,8 +329,11 @@ def _route_cases():
             lo, hi = minlex(k, h), maxlex(k, h)
             ranks = (lo - 1, lo, lo + 1, random.Random(h).randint(lo, hi), hi - 1, hi, hi + 1)
             yield pytest.param(k, ranks, any(h - e in pads for e in limits), (), id=f"{k}-h{h}")
-        ranks = tuple((1 << b) + d for b in (PEEL10_BITS, PEEL_BITS) for d in range(-2, 2))
+        ranks = (0, *((1 << b) + d for b in (16, PEEL_BITS) for d in range(-2, 2)))
         yield pytest.param(k, ranks, False, (), id=f"{k}-peel")
+    # values of every decimal length up to PEEL_BITS bits, each one checked by delta
+    values = tuple(10**h + d for h in range(1, len(str(1 << PEEL_BITS))) for d in (-1, 0, 1))
+    yield pytest.param(10, values, False, (), id="10-values")
 
     def spread(h):  # the least, a seeded and the greatest base-10 rank of length h
         lo, hi = minlex(10, h), maxlex(10, h)
